@@ -63,16 +63,12 @@ inline exp::PartitionCache& partition_cache() {
   return cache;
 }
 
+// Functional-phase memo for run_dataset's one-off cells (run_grid's
+// SweepEngine memoises per sweep on its own): cells that differ only in
+// memory technology run the vertex program once.
 inline exp::FunctionalCache& functional_cache() {
   static exp::FunctionalCache cache;
   return cache;
-}
-
-// Null until --functional-cache is parsed; passed through to
-// run_cached/SweepEngine so memoisation stays strictly opt-in.
-inline exp::FunctionalCache*& functional_cache_if_enabled() {
-  static exp::FunctionalCache* enabled = nullptr;
-  return enabled;
 }
 
 // The --partitioner strategy, applied to every cell that flows through
@@ -113,8 +109,6 @@ inline void record_report(const std::string& graph_key,
 //   --graph-cache-mb N    byte budget for the shared graph cache
 //   --ooc-window-mb N     decode-window budget per blocked graph reader
 //   --partition-cache N   entry cap for the shared partition cache
-//   --functional-cache    memoise functional phases across cells
-//   --functional-cache-mb N  byte budget for the functional cache
 //   --no-pattern-reuse    disable per-iteration pattern reuse in
 //                         frontier runs (identical output)
 //   --cache-stats         print cache counters to stderr after the run
@@ -132,7 +126,6 @@ struct Options {
   int jobs = 1;
   bool smoke = false;
   std::vector<DatasetId> datasets{kAllDatasets.begin(), kAllDatasets.end()};
-  bool functional_cache = false;
   bool cache_stats = false;
   bool metrics = false;
   bool host_profile = false;          // --host-profile was given
@@ -191,17 +184,12 @@ struct Options {
                     << "]: hits=" << stats.hits
                     << " builds=" << stats.builds
                     << " evictions=" << stats.evictions << "\n";
-        if (functional_cache)
-          std::cerr << "functional cache: hits="
-                    << reg.counter("exp.functional_cache.hits").value()
-                    << " misses="
-                    << reg.counter("exp.functional_cache.misses").value()
-                    << " evictions="
-                    << reg.counter("exp.functional_cache.evictions").value()
-                    << " bytes="
-                    << reg.gauge("exp.functional_cache.bytes").value()
-                    << " hit_rate="
-                    << bench::functional_cache().hit_rate() << "\n";
+        std::cerr << "functional cache: hits="
+                  << reg.counter("exp.functional_cache.hits").value()
+                  << " misses="
+                  << reg.counter("exp.functional_cache.misses").value()
+                  << " bytes="
+                  << reg.gauge("exp.functional_cache.bytes").value() << "\n";
       }
       if (metrics) reg.dump(std::cerr);
     }
@@ -369,19 +357,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
                       static_cast<std::size_t>(cli::parse_int(
                           parser, "--partition-cache", v, 0, 1 << 20)));
                 });
-  parser.flag("--functional-cache",
-              "memoise functional phases across cells that share a graph "
-              "image, algorithm, P and frontier mode (identical output)",
-              &opts.functional_cache);
-  parser.option("--functional-cache-mb", "N",
-                "functional cache byte budget in MiB (0 = unbounded; "
-                "default 0; implies --functional-cache)",
-                [&](const std::string& v) {
-                  opts.functional_cache = true;
-                  functional_cache().set_byte_budget(
-                      units::MiB(static_cast<std::uint64_t>(cli::parse_int(
-                          parser, "--functional-cache-mb", v, 0, 1 << 20))));
-                });
   parser.flag("--no-pattern-reuse",
               "disable per-iteration pattern reuse in frontier runs "
               "(identical output, more host work)",
@@ -443,8 +418,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
     obs::install_flight_recorder(
         [snapshot](int signum) { snapshot.flight_save(signum); });
   }
-  if (opts.functional_cache)
-    functional_cache_if_enabled() = &functional_cache();
   // Without --graph-cache-mb the budget is sized from the machine
   // (fixed 256 MiB under --smoke so CI output is host-independent)
   // instead of growing without bound. Logged to stderr — stdout keeps
@@ -472,7 +445,7 @@ inline RunReport run_dataset(const HyveConfig& cfg, DatasetId id,
   RunReport report = exp::run_cached(graph_cache(), partition_cache(),
                                      cell_cfg, algo, dataset_name(id),
                                      /*trace=*/nullptr, /*trace_pid=*/1,
-                                     functional_cache_if_enabled());
+                                     &functional_cache());
   record_report(dataset_name(id), report);
   return report;
 }
@@ -519,8 +492,7 @@ inline GridResults run_grid(const exp::SweepSpec& spec, const Options& opts) {
   if (!partitioner_spec().is_default() && grid_spec.partitioners.size() == 1 &&
       grid_spec.partitioners.front().is_default())
     grid_spec.partitioners = {partitioner_spec()};
-  exp::SweepEngine engine(graph_cache(), partition_cache(),
-                          functional_cache_if_enabled());
+  exp::SweepEngine engine(graph_cache(), partition_cache());
   exp::SweepOptions options;
   options.jobs = opts.jobs;
   options.trace = opts.trace.get();

@@ -22,6 +22,7 @@ bool CcProgram::process_edge(const Edge& e) {
 
 std::uint64_t CcProgram::process_block(std::span<const Edge> edges,
                                        std::vector<char>* changed) {
+  debug_check_changed_cover(changed, edges);
   VertexId* const label = label_.data();
   std::uint64_t writes = 0;
   for (const Edge& e : edges) {

@@ -28,6 +28,7 @@ bool PageRankProgram::process_edge(const Edge& e) {
 
 std::uint64_t PageRankProgram::process_block(std::span<const Edge> edges,
                                              std::vector<char>* changed) {
+  debug_check_changed_cover(changed, edges);
   double* const accum = accum_.data();
   const float* const contribution = contribution_.data();
   for (const Edge& e : edges) accum[e.dst] += contribution[e.src];

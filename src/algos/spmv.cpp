@@ -33,6 +33,7 @@ bool SpmvProgram::process_edge(const Edge& e) {
 
 std::uint64_t SpmvProgram::process_block(std::span<const Edge> edges,
                                          std::vector<char>* changed) {
+  debug_check_changed_cover(changed, edges);
   double* const y = y_.data();
   for (const Edge& e : edges) y[e.dst] += matrix_value(e) * input_value(e.src);
   if (changed != nullptr)

@@ -33,6 +33,7 @@ bool SsspProgram::process_edge(const Edge& e) {
 
 std::uint64_t SsspProgram::process_block(std::span<const Edge> edges,
                                          std::vector<char>* changed) {
+  debug_check_changed_cover(changed, edges);
   std::uint64_t* const dist = dist_.data();
   std::uint64_t writes = 0;
   for (const Edge& e : edges) {

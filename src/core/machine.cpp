@@ -796,6 +796,13 @@ RunReport HyveMachine::account(const Graph& graph, VertexProgram& program,
 
   report.validate_phase_totals();
   report.validate_ledger();
+  // Cross-layer invariant: the functional pass and the architectural
+  // walk must agree on how many edges were processed.
+  HYVE_CHECK_MSG(report.edges_traversed == report.stats.edge_ops,
+                 "functional pass traversed " << report.edges_traversed
+                                              << " edges but the walk "
+                                                 "accounted "
+                                              << report.stats.edge_ops);
 
   return report;
 }

@@ -359,7 +359,6 @@ std::shared_ptr<const FunctionalOutcome> FunctionalCache::acquire(
     if (!slot) slot = std::make_unique<Entry>();
     entry = slot.get();
     if (entry->outcome) {
-      entry->last_use = ++tick_;
       ++hits_;
       count("exp.functional_cache.hits");
       return entry->outcome;
@@ -371,7 +370,6 @@ std::shared_ptr<const FunctionalOutcome> FunctionalCache::acquire(
   {
     const std::scoped_lock lock(mu_);
     if (entry->outcome) {
-      entry->last_use = ++tick_;
       ++hits_;
       count("exp.functional_cache.hits");
       return entry->outcome;
@@ -382,42 +380,10 @@ std::shared_ptr<const FunctionalOutcome> FunctionalCache::acquire(
   count("exp.functional_cache.misses");
   const std::scoped_lock lock(mu_);
   entry->outcome = built;
-  entry->bytes = built->approx_bytes();
-  entry->last_use = ++tick_;
-  resident_bytes_ += entry->bytes;
-  if (budget_bytes_ > 0) evict_to_budget_locked(entry);
+  resident_bytes_ += built->approx_bytes();
   gauge("exp.functional_cache.bytes",
         static_cast<std::int64_t>(resident_bytes_));
   return built;
-}
-
-void FunctionalCache::evict_to_budget_locked(const Entry* keep) {
-  while (resident_bytes_ > budget_bytes_) {
-    Entry* victim = nullptr;
-    for (const auto& [key, entry] : entries_)
-      if (entry->outcome && entry.get() != keep &&
-          (victim == nullptr || entry->last_use < victim->last_use))
-        victim = entry.get();
-    if (victim == nullptr) return;  // only the just-built entry remains
-    victim->outcome.reset();
-    resident_bytes_ -= victim->bytes;
-    victim->bytes = 0;
-    ++evictions_;
-    count("exp.functional_cache.evictions");
-  }
-}
-
-void FunctionalCache::set_byte_budget(std::size_t bytes) {
-  const std::scoped_lock lock(mu_);
-  budget_bytes_ = bytes;
-  if (budget_bytes_ > 0) evict_to_budget_locked(nullptr);
-  gauge("exp.functional_cache.bytes",
-        static_cast<std::int64_t>(resident_bytes_));
-}
-
-std::size_t FunctionalCache::byte_budget() const {
-  const std::scoped_lock lock(mu_);
-  return budget_bytes_;
 }
 
 std::size_t FunctionalCache::resident_bytes() const {

@@ -252,14 +252,12 @@ struct FunctionalKey {
 };
 
 // Memoised functional-phase outcomes (HyveMachine::run_functional_phase
-// results) for the sweep engine, following the GraphCache concurrency
-// scheme: entries are created under a short map lock and built under a
-// per-entry mutex, so workers needing the same outcome share one build
-// while different outcomes build in parallel. LRU-evicted against a
-// byte budget (FrontierTrace entries are ~iterations x active-block
-// records; dense outcomes are a few dozen bytes); entries are handed
-// out as shared_ptr so eviction never invalidates a user, and a later
-// request transparently rebuilds (builds must be deterministic).
+// results), following the GraphCache concurrency scheme: entries are
+// created under a short map lock and built under a per-entry mutex, so
+// workers needing the same outcome share one build while different
+// outcomes build in parallel. Entries live as long as the cache — each
+// SweepEngine::run() owns one — and are small: a dense outcome is a few
+// dozen bytes, a FrontierTrace ~iterations x active-block records.
 class FunctionalCache {
  public:
   // The memoised outcome for `key`, built on first use via `build`.
@@ -267,38 +265,22 @@ class FunctionalCache {
       const FunctionalKey& key,
       const std::function<FunctionalOutcome()>& build);
 
-  // LRU byte budget (0 = unbounded, the default), sized by each entry's
-  // FunctionalOutcome::approx_bytes().
-  void set_byte_budget(std::size_t bytes);
-  std::size_t byte_budget() const;
+  // Sum of the held outcomes' FunctionalOutcome::approx_bytes().
   std::size_t resident_bytes() const;
-
   std::size_t hits() const { return hits_.load(); }
   std::size_t misses() const { return misses_.load(); }
-  std::size_t evictions() const { return evictions_.load(); }
-  double hit_rate() const {
-    const std::size_t h = hits(), m = misses();
-    return h + m == 0 ? 0.0 : static_cast<double>(h) / (h + m);
-  }
 
  private:
   struct Entry {
-    std::mutex build_mu;  // serialises (re)builds of this entry
+    std::mutex build_mu;  // serialises the build of this entry
     std::shared_ptr<const FunctionalOutcome> outcome;
-    std::uint64_t last_use = 0;
-    std::size_t bytes = 0;  // accounted while resident
   };
 
-  void evict_to_budget_locked(const Entry* keep);
-
-  mutable std::mutex mu_;  // guards the map and LRU state, not builds
+  mutable std::mutex mu_;  // guards the map and byte count, not builds
   std::map<FunctionalKey, std::unique_ptr<Entry>> entries_;
-  std::uint64_t tick_ = 0;
-  std::size_t budget_bytes_ = 0;
   std::size_t resident_bytes_ = 0;
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> evictions_{0};
 };
 
 }  // namespace hyve::exp

@@ -215,6 +215,7 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
   std::size_t flushed = 0;
 
   std::atomic<std::int64_t> in_flight{0};
+  FunctionalCache functional;
 
   parallel_cells(n, options.jobs, [&](std::size_t i) {
     const auto wall_start = std::chrono::steady_clock::now();
@@ -231,7 +232,7 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
                                cells[i].algorithm, cells[i].graph_key,
                                options.trace,
                                static_cast<std::uint32_t>(i) + 1,
-                               functional_);
+                               &functional);
     }
     RunReport report = std::move(*cell_report);
     if (obs::host_profiler().enabled()) {
@@ -263,6 +264,8 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
       ++flushed;
     }
   });
+  functional_hits_ += functional.hits();
+  functional_misses_ += functional.misses();
 
   std::vector<SweepResult> out;
   out.reserve(n);

@@ -5,9 +5,10 @@
 // SweepEngine runs its cells on a pool of worker threads pulling from an
 // atomic work queue, sharing one GraphCache/PartitionCache so each graph
 // is loaded, hash-balanced and partitioned once per sweep instead of
-// once per cell. Cell execution is deterministic and results are handed
-// to the ResultSink in cell order regardless of thread count, so
-// `--jobs 8` output is byte-identical to `--jobs 1`.
+// once per cell, and one FunctionalCache so each functional input runs
+// its vertex program once. Cell execution is deterministic and results
+// are handed to the ResultSink in cell order regardless of thread count,
+// so `--jobs 8` output is byte-identical to `--jobs 1`.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +77,10 @@ void parallel_cells(std::size_t n, int jobs,
 // the run's phase spans land on tracks of process `trace_pid` (the
 // engine uses one pid per cell so sweep traces stay disentangled).
 // When `functional` is non-null the functional phase is memoised
-// through it: cells that agree on (graph image, algorithm, P, frontier
-// mode) — e.g. a sweep over memory technologies — run the vertex
-// program once and replay the outcome, with byte-identical reports.
+// through it: cells that agree on (graph image, algorithm, partitioner,
+// P, frontier mode) — e.g. a sweep over memory technologies — run the
+// vertex program once and replay the outcome, with byte-identical
+// reports.
 RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
                      const HyveConfig& config, Algorithm algorithm,
                      const std::string& graph_key,
@@ -129,24 +131,29 @@ struct SweepResult {
 
 class SweepEngine {
  public:
-  // `functional` (optional) memoises functional phases across cells —
-  // see run_cached(). The caller owns it, like the two caches.
-  SweepEngine(GraphCache& graphs, PartitionCache& partitions,
-              FunctionalCache* functional = nullptr)
-      : graphs_(graphs), partitions_(partitions), functional_(functional) {}
+  SweepEngine(GraphCache& graphs, PartitionCache& partitions)
+      : graphs_(graphs), partitions_(partitions) {}
 
   // Runs every cell of `spec` and returns the reports in cell order. If
   // `sink` is non-null each result is also written to it, in cell order,
   // as soon as its prefix is complete. Rethrows the first cell failure
-  // after the pool drains.
+  // after the pool drains. Functional phases are memoised through a
+  // FunctionalCache that lives for this call (see run_cached()), so
+  // cells that differ only in memory technology run the vertex program
+  // once.
   std::vector<SweepResult> run(const SweepSpec& spec,
                                const SweepOptions& options = {},
                                ResultSink* sink = nullptr);
 
+  // Functional-memo hits and misses summed over every run() so far.
+  std::size_t functional_hits() const { return functional_hits_; }
+  std::size_t functional_misses() const { return functional_misses_; }
+
  private:
   GraphCache& graphs_;
   PartitionCache& partitions_;
-  FunctionalCache* functional_;
+  std::size_t functional_hits_ = 0;
+  std::size_t functional_misses_ = 0;
 };
 
 }  // namespace hyve::exp

@@ -104,6 +104,28 @@ Partitioning::Partitioning(const GraphSource& source, VertexMap map)
       edges_[cursor[block_index(interval_of(e.src), interval_of(e.dst))]++] =
           e;
   });
+
+  // Replication: one pass over the grouped (block-major) edges with a
+  // per-vertex last-block stamp, done here once per schedule so that
+  // compute_partition_stats() stays O(P^2) however many runs report it.
+  // Branch-free, because which side of either test an endpoint lands on
+  // is data-dependent and a branch would mispredict about half the time.
+  const obs::HostSpan stats_span("partition.stats");
+  std::vector<std::uint64_t> last_block(map_.num_vertices(), 0);
+  std::uint64_t copies = 0;
+  std::uint64_t touched = 0;
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    const std::uint64_t stamp = b + 1;  // 0 = untouched
+    for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
+      for (const VertexId endpoint : {edges_[i].src, edges_[i].dst}) {
+        const std::uint64_t last = last_block[endpoint];
+        touched += last == 0;
+        copies += last != stamp;
+        last_block[endpoint] = stamp;
+      }
+    }
+  }
+  replication_ = {copies, touched};
 }
 
 namespace {

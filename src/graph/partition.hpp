@@ -150,6 +150,16 @@ class Partitioning {
   // Number of blocks that contain at least one edge.
   std::uint64_t non_empty_blocks() const;
 
+  // Vertex replication over the block grid, counted once by the build:
+  // `copies` is the number of distinct (vertex, block) endpoint
+  // incidences, `touched` the number of vertices with at least one edge.
+  // Their ratio is PartitionStats::replication_factor.
+  struct Replication {
+    std::uint64_t copies = 0;
+    std::uint64_t touched = 0;
+  };
+  const Replication& replication() const { return replication_; }
+
   // All edges, grouped contiguously in block-major (x, then y) order.
   const std::vector<Edge>& grouped_edges() const { return edges_; }
 
@@ -191,6 +201,7 @@ class Partitioning {
   VertexMap map_;
   std::vector<Edge> edges_;
   std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into edges_
+  Replication replication_;
   std::shared_ptr<Lazy> lazy_ = std::make_shared<Lazy>();
 };
 

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/report_io.hpp"
@@ -433,6 +435,40 @@ std::vector<HyveConfig> memory_only_configs() {
   return configs;
 }
 
+// The records HyveMachine::run produces for every cell of `spec`, one
+// uncached run per cell, written through the same sink the engine uses.
+std::string direct_output(const exp::SweepSpec& spec) {
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  std::ostringstream os;
+  exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
+  for (const exp::SweepCell& cell : exp::expand(spec))
+    sink.write(cell, HyveMachine(cell.config)
+                         .run(graphs.base(cell.graph_key), cell.algorithm));
+  return os.str();
+}
+
+// Runs `spec` on a fresh two-argument engine; returns its records and
+// the memo's hit/miss counts.
+struct MemoisedSweep {
+  std::string output;
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+};
+
+MemoisedSweep memoised_sweep(const exp::SweepSpec& spec, int jobs) {
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  exp::PartitionCache partitions;
+  exp::SweepEngine engine(graphs, partitions);
+  std::ostringstream os;
+  exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
+  exp::SweepOptions options;
+  options.jobs = jobs;
+  engine.run(spec, options, &sink);
+  return {os.str(), engine.functional_hits(), engine.functional_misses()};
+}
+
 TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
   exp::SweepSpec spec;
   spec.configs = memory_only_configs();
@@ -440,41 +476,61 @@ TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
   spec.graphs = {"g1"};
   ASSERT_GE(spec.configs.size(), 8u);
 
-  const auto run = [&](int jobs, bool with_cache, double* hit_rate) {
-    exp::GraphCache graphs;
-    add_test_graphs(graphs);
-    exp::PartitionCache partitions;
-    exp::FunctionalCache functional;
-    exp::SweepEngine engine(graphs, partitions,
-                            with_cache ? &functional : nullptr);
-    std::ostringstream os;
-    exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
-    exp::SweepOptions options;
-    options.jobs = jobs;
-    engine.run(spec, options, &sink);
-    if (hit_rate != nullptr) *hit_rate = functional.hit_rate();
-    if (with_cache) {
-      // One outcome per (algorithm, graph): 2 misses, 14 hits here.
-      EXPECT_EQ(functional.misses(),
-                spec.algorithms.size() * spec.graphs.size());
-      EXPECT_GT(functional.resident_bytes(), 0u);
-    }
-    return os.str();
-  };
+  const std::string direct = direct_output(spec);
+  EXPECT_FALSE(direct.empty());
+  for (const int jobs : {1, 8}) {
+    const MemoisedSweep sweep = memoised_sweep(spec, jobs);
+    // Byte-identical to uncached runs, serial or parallel: the memoised
+    // functional outcome feeds the same accounting walk.
+    EXPECT_EQ(sweep.output, direct) << "jobs " << jobs;
+    // One outcome per (algorithm, graph): 2 misses, 14 hits here.
+    EXPECT_EQ(sweep.misses, spec.algorithms.size() * spec.graphs.size());
+    EXPECT_EQ(sweep.hits, spec.size() - sweep.misses);
+  }
+}
 
-  double hit_rate_serial = 0;
-  double hit_rate_parallel = 0;
-  const std::string uncached = run(1, false, nullptr);
-  const std::string cached_serial = run(1, true, &hit_rate_serial);
-  const std::string cached_parallel = run(8, true, &hit_rate_parallel);
-  EXPECT_FALSE(uncached.empty());
-  // Byte-identical with the cache on or off, serial or parallel: the
-  // memoised functional outcome feeds the same accounting walk.
-  EXPECT_EQ(uncached, cached_serial);
-  EXPECT_EQ(uncached, cached_parallel);
-  // The acceptance bar: a repeated-config sweep hits at least 75%.
-  EXPECT_GE(hit_rate_serial, 0.75);
-  EXPECT_GE(hit_rate_parallel, 0.75);
+TEST(FunctionalCache, EngineMemoisesFig16GridAcrossPartitioners) {
+  // The Fig. 16 configs plus opt+frontier, crossed with two strategies:
+  // memory technologies repeat functional keys, while the frontier mode,
+  // the strategy and the SRAM-less configs' P split them.
+  exp::SweepSpec spec;
+  spec.configs = fig16_accelerator_configs();
+  HyveConfig frontier = HyveConfig::hyve_opt();
+  frontier.frontier_block_skipping = true;
+  frontier.label = "acc+HyVE-opt+frontier";
+  spec.configs.push_back(frontier);
+  spec.partitioners = {PartitionerSpec{}, *parse_partitioner("hep:tau=2")};
+  spec.algorithms = {Algorithm::kBfs, Algorithm::kPageRank};
+  spec.graphs = {"g1", "g2"};
+
+  // Distinct functional keys, derived the way run_cached keys its memo.
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  std::set<std::tuple<std::string, Algorithm, std::string, std::uint32_t,
+                      bool>>
+      keys;
+  for (const exp::SweepCell& cell : exp::expand(spec)) {
+    const HyveConfig& cfg = cell.config;
+    const std::string image =
+        cfg.hash_balance
+            ? exp::GraphCache::balanced_key(cell.graph_key,
+                                            cfg.hash_balance_seed)
+            : cell.graph_key;
+    const std::uint32_t p = HyveMachine(cfg).choose_num_intervals(
+        graphs.base(cell.graph_key),
+        make_program(cell.algorithm)->vertex_value_bytes());
+    keys.insert({image, cell.algorithm, cfg.partitioner.to_string(), p,
+                 cfg.frontier_block_skipping});
+  }
+  ASSERT_LT(keys.size(), spec.size());
+
+  const std::string direct = direct_output(spec);
+  for (const int jobs : {1, 4}) {
+    const MemoisedSweep sweep = memoised_sweep(spec, jobs);
+    EXPECT_EQ(sweep.output, direct) << "jobs " << jobs;
+    EXPECT_EQ(sweep.misses, keys.size()) << "jobs " << jobs;
+    EXPECT_EQ(sweep.hits, spec.size() - keys.size()) << "jobs " << jobs;
+  }
 }
 
 TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
@@ -503,46 +559,14 @@ TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
   EXPECT_EQ(report_to_json(cached), report_to_json(direct));
 }
 
-TEST(FunctionalCache, EvictsLruToByteBudgetAndRebuilds) {
-  exp::GraphCache graphs;
-  add_test_graphs(graphs);
-  exp::PartitionCache partitions;
-  exp::FunctionalCache functional;
-  functional.set_byte_budget(1);  // smaller than any one outcome
-  EXPECT_EQ(functional.byte_budget(), 1u);
-
-  const HyveConfig cfg = HyveConfig::hyve_opt();
-  exp::run_cached(graphs, partitions, cfg, Algorithm::kBfs, "g1", nullptr,
-                  1, &functional);
-  EXPECT_EQ(functional.misses(), 1u);
-  // The just-built entry is never evicted on its own behalf.
-  EXPECT_EQ(functional.evictions(), 0u);
-  EXPECT_GT(functional.resident_bytes(), 0u);
-
-  // A second outcome evicts the first; re-running the first rebuilds it
-  // (a miss, not a hit) with an identical report.
-  exp::run_cached(graphs, partitions, cfg, Algorithm::kPageRank, "g1",
-                  nullptr, 1, &functional);
-  EXPECT_EQ(functional.evictions(), 1u);
-  const RunReport rebuilt = exp::run_cached(graphs, partitions, cfg,
-                                            Algorithm::kBfs, "g1", nullptr,
-                                            1, &functional);
-  EXPECT_EQ(functional.misses(), 3u);
-  EXPECT_EQ(functional.hits(), 0u);
-  const RunReport direct =
-      HyveMachine(cfg).run(graphs.base("g1"), Algorithm::kBfs);
-  EXPECT_EQ(report_to_json(rebuilt), report_to_json(direct));
-}
-
-TEST(FunctionalCache, ConcurrentAcquireUnderTightBudget) {
-  // Sweep-engine TSan coverage: workers churn outcomes through a budget
-  // that can hold roughly one entry, so acquisition, eviction and
-  // rebuild race. Every handed-out outcome must stay complete and
-  // usable even when the cache drops it concurrently.
+TEST(FunctionalCache, ConcurrentAcquireBuildsEachKeyOnce) {
+  // Sweep-engine TSan coverage: workers race on two keys, so first
+  // builds, waits on an in-flight build and hits interleave. Every
+  // handed-out outcome must be complete, and each key builds once.
   exp::FunctionalCache cache;
-  cache.set_byte_budget(1);
   const Graph g = generate_rmat(2000, 8000, {}, 7);
   const Partitioning part(g, 8);
+  std::atomic<int> builds{0};
   std::vector<std::thread> pool;
   for (int t = 0; t < 8; ++t)
     pool.emplace_back([&] {
@@ -550,6 +574,7 @@ TEST(FunctionalCache, ConcurrentAcquireUnderTightBudget) {
         const exp::FunctionalKey key{"g", i % 4 == 0 ? "BFS" : "CC",
                                      "interval", 8, false};
         const auto outcome = cache.acquire(key, [&] {
+          ++builds;
           const HyveMachine machine(HyveConfig::hyve_opt());
           const auto program = make_program(
               i % 4 == 0 ? Algorithm::kBfs : Algorithm::kCc);
@@ -561,8 +586,10 @@ TEST(FunctionalCache, ConcurrentAcquireUnderTightBudget) {
       }
     });
   for (std::thread& t : pool) t.join();
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_GE(cache.misses(), 2u);
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 8u * 16u - 2u);
+  EXPECT_GT(cache.resident_bytes(), 0u);
 }
 
 TEST(ParseHelpers, ConfigLabelRoundTrip) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "algos/bfs.hpp"
@@ -340,6 +341,76 @@ TEST(PartitionerMachine, ComputePartitionStatsMatchesHandDerivation) {
   EXPECT_NEAR(stats.remote_edge_fraction, 5.0 / 11.0, 1e-12);
 }
 
+// The stats as a standalone O(E) walk over the grouped edges — the
+// reference the build-time replication count must reproduce exactly.
+PartitionStats reference_partition_stats(const Partitioning& schedule,
+                                         int num_pus) {
+  PartitionStats stats;
+  const std::uint32_t p = schedule.num_intervals();
+  const auto n = static_cast<std::uint32_t>(num_pus);
+  const std::uint64_t e = schedule.num_edges();
+  const VertexId v = schedule.num_vertices();
+  const std::uint64_t non_empty = schedule.non_empty_blocks();
+  stats.n_avg = non_empty == 0 ? 0.0
+                               : static_cast<double>(e) /
+                                     static_cast<double>(non_empty);
+  stats.bank_wake_fraction = static_cast<double>(non_empty) /
+                             static_cast<double>(schedule.num_blocks());
+  std::vector<std::uint64_t> last_block(v, 0);
+  std::uint64_t copies = 0;
+  std::uint64_t touched = 0;
+  std::uint64_t remote = 0;
+  for (std::uint32_t x = 0; x < p; ++x) {
+    for (std::uint32_t y = 0; y < p; ++y) {
+      const auto edges = schedule.block(x, y);
+      if (edges.empty()) continue;
+      const std::uint64_t stamp = static_cast<std::uint64_t>(x) * p + y + 1;
+      for (const Edge& edge : edges) {
+        for (const VertexId endpoint : {edge.src, edge.dst}) {
+          if (last_block[endpoint] == 0) ++touched;
+          if (last_block[endpoint] != stamp) {
+            last_block[endpoint] = stamp;
+            ++copies;
+          }
+        }
+      }
+      if (x % n != y % n) remote += edges.size();
+    }
+  }
+  stats.replication_factor =
+      touched == 0 ? 0.0
+                   : static_cast<double>(copies) / static_cast<double>(touched);
+  stats.remote_edge_fraction =
+      e == 0 ? 0.0 : static_cast<double>(remote) / static_cast<double>(e);
+  const double mean_pop = static_cast<double>(v) / static_cast<double>(p);
+  stats.interval_balance =
+      v == 0 ? 1.0
+             : static_cast<double>(schedule.vertex_map().max_population()) /
+                   mean_pop;
+  return stats;
+}
+
+TEST(PartitionerMachine, BuildTimeStatsEqualTheEdgeWalkExactly) {
+  for (const NamedGraph& ng : property_graphs()) {
+    for (const char* name : {"interval", "hep:tau=2", "splitmerge:chunks=2"}) {
+      const Partitioning part =
+          make_partitioner(*parse_partitioner(name))->partition(ng.graph, ng.p);
+      for (const int n : {1, 2, 3, 8}) {
+        const PartitionStats got = compute_partition_stats(part, n);
+        const PartitionStats want = reference_partition_stats(part, n);
+        const std::string where =
+            std::string(ng.name) + " " + name + " N=" + std::to_string(n);
+        EXPECT_EQ(got.n_avg, want.n_avg) << where;
+        EXPECT_EQ(got.replication_factor, want.replication_factor) << where;
+        EXPECT_EQ(got.interval_balance, want.interval_balance) << where;
+        EXPECT_EQ(got.remote_edge_fraction, want.remote_edge_fraction)
+            << where;
+        EXPECT_EQ(got.bank_wake_fraction, want.bank_wake_fraction) << where;
+      }
+    }
+  }
+}
+
 // ---------- cache keying per strategy ----------
 
 TEST(PartitionerCache, StrategiesNeverCollideAndStatsAttribute) {
@@ -375,8 +446,7 @@ std::string sweep_output(const exp::SweepSpec& spec, int jobs) {
   exp::GraphCache graphs;
   graphs.add("tiny", [] { return generate_rmat(400, 2400, {}, 59); });
   exp::PartitionCache partitions;
-  exp::FunctionalCache functional;
-  exp::SweepEngine engine(graphs, partitions, &functional);
+  exp::SweepEngine engine(graphs, partitions);
   std::ostringstream os;
   exp::ResultSink sink(os, exp::ResultSink::Format::kJsonl);
   exp::SweepOptions options;

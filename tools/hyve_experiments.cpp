@@ -11,10 +11,9 @@
 //   hyve_experiments --partitioner interval,hep,splitmerge
 //   hyve_experiments --frontier           # add the block-skipping variant
 //   hyve_experiments --format csv         # spreadsheet-friendly table
-//   hyve_experiments --functional-cache   # memoise functional phases
+//   hyve_experiments --cache-stats        # cache and memo counters
 //
-// Output is deterministic and order-stable for any --jobs value, and
-// byte-identical with the functional cache on or off.
+// Output is deterministic and order-stable for any --jobs value.
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -40,7 +39,6 @@ int main(int argc, char** argv) {
   options.jobs = 1;  // historical default: serial
   auto format = exp::ResultSink::Format::kJsonl;
   bool metrics = false;
-  bool functional_cache = false;
   bool cache_stats = false;
   bool host_profile = false;
   std::string trace_path;
@@ -106,10 +104,6 @@ int main(int argc, char** argv) {
                   if (!f) parser.fail("unknown format " + v);
                   format = *f;
                 });
-  parser.flag("--functional-cache",
-              "memoise functional phases across cells that share a graph "
-              "image, algorithm, P and frontier mode (identical output)",
-              &functional_cache);
   parser.flag("--cache-stats",
               "print graph/partition/functional cache statistics to stderr",
               &cache_stats);
@@ -180,9 +174,7 @@ int main(int argc, char** argv) {
 
     exp::GraphCache graphs;
     exp::PartitionCache partitions;
-    exp::FunctionalCache functional;
-    exp::SweepEngine engine(graphs, partitions,
-                            functional_cache ? &functional : nullptr);
+    exp::SweepEngine engine(graphs, partitions);
     exp::ResultSink sink(std::cout, format);
     engine.run(spec, options, &sink);
 
@@ -198,11 +190,8 @@ int main(int argc, char** argv) {
         std::cerr << "partition cache[" << strategy
                   << "]: hits=" << stats.hits << " builds=" << stats.builds
                   << " evictions=" << stats.evictions << "\n";
-      if (functional_cache)
-        std::cerr << "functional cache: hits=" << functional.hits()
-                  << " misses=" << functional.misses()
-                  << " evictions=" << functional.evictions()
-                  << " hit_rate=" << functional.hit_rate() << "\n";
+      std::cerr << "functional cache: hits=" << engine.functional_hits()
+                << " misses=" << engine.functional_misses() << "\n";
     }
     if (metrics) obs::registry().dump(std::cerr);
   } catch (const std::exception& e) {

@@ -95,10 +95,10 @@ int run_metrics_census() {
   // The full accelerator-config grid × {PR, BFS} × every partitioning
   // strategy on the tiny graph: sim.pipeline/dram/reram/memctl/bpg/
   // partition.*, exp.sweep.*, exp.*_cache.* (per-strategy suffixes
-  // included), host.span.machine.* / partition.build / sweep.cell.
+  // included), host.span.machine.* / partition.build / partition.stats /
+  // sweep.cell.
   exp::GraphCache graphs;
   exp::PartitionCache partitions;
-  exp::FunctionalCache functional;
   graphs.add("census", std::move(tiny));
   exp::SweepSpec spec;
   spec.configs = fig16_accelerator_configs();
@@ -107,7 +107,7 @@ int run_metrics_census() {
   for (const char* name : {"interval", "hep:tau=2", "splitmerge:chunks=2"})
     spec.partitioners.push_back(*parse_partitioner(name));
   spec.graphs = {"census"};
-  exp::SweepEngine engine(graphs, partitions, &functional);
+  exp::SweepEngine engine(graphs, partitions);
   exp::SweepOptions options;
   options.jobs = 1;
   engine.run(spec, options);
