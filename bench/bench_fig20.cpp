@@ -12,6 +12,7 @@
 // slack vs hashed block directory), not wall-clock measurements.
 #include <algorithm>
 #include <iostream>
+#include <sstream>
 
 #include "bench/common.hpp"
 #include "dynamic/dynamic_graph.hpp"
@@ -75,7 +76,8 @@ int main(int argc, char** argv) {
   Table table({"dataset", "HyVE (M req/s)", "GraphR (M req/s)",
                "HyVE/GraphR"});
   std::vector<double> ratios;
-  std::vector<double> hyve_rates;
+  double best_hyve_mps = 0;
+  std::size_t hyve_wins = 0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     table.add_row({dataset_name(opts.datasets[i]),
@@ -83,21 +85,21 @@ int main(int argc, char** argv) {
                    Table::num(cell.graphr_mps, 2),
                    Table::num(cell.hyve_mps / cell.graphr_mps, 2) + "x"});
     ratios.push_back(cell.hyve_mps / cell.graphr_mps);
-    hyve_rates.push_back(cell.hyve_mps);
+    best_hyve_mps = std::max(best_hyve_mps, cell.hyve_mps);
+    if (cell.hyve_mps > cell.graphr_mps) ++hyve_wins;
   }
   table.print(std::cout);
-  std::cout << "average HyVE/GraphR: " << Table::num(bench::geomean(ratios), 2)
-            << "x; best HyVE rate: "
-            << Table::num(*std::max_element(hyve_rates.begin(),
-                                            hyve_rates.end()),
-                          2)
-            << " M req/s\n";
 
   bench::paper_note("up to 46.98 M edges/s for HyVE, 8.04x over GraphR");
-  bench::measured_note(
-      "HyVE's direct-indexed slack layout sustains tens of millions of "
-      "requests per second and beats the hashed 8x8 grid on every dataset "
-      "(absolute rates depend on the host CPU)");
+  std::ostringstream measured;
+  measured << "HyVE's direct-indexed layout beats the hashed 8x8 grid on "
+           << hyve_wins << " of " << cells.size() << " datasets (geomean "
+           << Table::num(bench::geomean(ratios), 2) << "x, best HyVE rate "
+           << Table::num(best_hyve_mps, 2) << " M req/s"
+           << (opts.smoke ? ", --smoke proxies" : "")
+           << "); the paper's \"beats GraphR on every dataset\" "
+           << (hyve_wins == cells.size() ? "holds" : "does not hold");
+  bench::measured_note(measured.str());
   opts.finish();
   return 0;
 }

@@ -9,8 +9,10 @@
 # hyve_top, and the SIGTERM flight-record path), a docs/METRICS.md
 # drift check, a kernel-regression smoke run (bench_micro's built-in
 # layout-equivalence gate plus an end-to-end proof that pattern reuse
-# never changes a byte of sweep output), then the sweep-engine
-# concurrency tests under ThreadSanitizer.
+# never changes a byte of sweep output), the sweep-engine concurrency
+# tests under ThreadSanitizer, then every unit test in a Debug
+# AddressSanitizer + UBSan build (which also compiles the NDEBUG-gated
+# debug checks).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -257,5 +259,13 @@ echo "kernel-regression: OK"
 cmake -B build-tsan -S . -DHYVE_SANITIZE=thread
 cmake --build build-tsan -j
 ctest --test-dir build-tsan -L sweep-engine --output-on-failure
+
+# asan: the unit tests (bench smoke runs excluded) under ASan + UBSan in
+# a Debug build; any undefined-behaviour report fails the run.
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DHYVE_SANITIZE=address
+cmake --build build-asan -j
+UBSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir build-asan -LE bench-smoke --output-on-failure
+echo "asan: OK"
 
 echo "verify: OK"

@@ -2,14 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
 
+namespace {
+
+// Block sizes, capacities and indices are 32-bit.
+constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
 DynamicGraphStore::DynamicGraphStore(const Graph& initial,
                                      DynamicGraphOptions options)
     : options_(options), num_vertices_(initial.num_vertices()) {
+  const obs::HostSpan host_span("dynamic.build");
   HYVE_CHECK(options_.num_intervals >= 1);
   HYVE_CHECK(options_.slack >= 0.0);
   vertex_capacity_ = static_cast<VertexId>(
@@ -20,97 +30,122 @@ DynamicGraphStore::DynamicGraphStore(const Graph& initial,
   grid_ = options_.num_intervals;
   vmap_ = VertexMap::uniform(vertex_capacity_, grid_);
 
-  if (!options_.hashed_block_directory)
-    dense_blocks_.assign(static_cast<std::size_t>(grid_) * grid_, {});
-
   // Initial placement with per-block slack reservation (one-shot
-  // preprocessing; not counted in preprocess_count_).
-  locator_.reserve(initial.num_edges());
-  for (const Edge& e : initial.edges()) {
-    Block& b = block_for(e.src, e.dst);
-    b.edges.push_back(e);
-    locator_add(e, static_cast<std::uint32_t>(b.edges.size() - 1));
-  }
-  auto reserve_slack = [&](Block& b) {
-    b.capacity = static_cast<std::uint64_t>(
-                     std::ceil(b.edges.size() * (1.0 + options_.slack))) +
-                 4;
-    b.edges.reserve(b.capacity);
-  };
+  // preprocessing; not counted in preprocess_count_), as a counting sort.
+  // Pass 1 counts each block's edges.
+  const std::vector<Edge>& edges = initial.edges();
   if (options_.hashed_block_directory) {
-    for (auto& [key, b] : hashed_blocks_) reserve_slack(b);
+    // The edges touch at most this many blocks.
+    const auto blocks = static_cast<std::size_t>(std::min<std::uint64_t>(
+        edges.size(), static_cast<std::uint64_t>(grid_) * grid_));
+    directory_ = FlatTable(blocks);
+    blocks_.reserve(blocks);
   } else {
-    for (Block& b : dense_blocks_) reserve_slack(b);
+    const std::uint64_t blocks = static_cast<std::uint64_t>(grid_) * grid_;
+    HYVE_CHECK_MSG(blocks <= kMax32,
+                   grid_ << "^2 blocks cannot be indexed directly");
+    blocks_.resize(blocks);
   }
-  num_edges_ = initial.num_edges();
+  std::vector<std::uint32_t> block_of(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    block_of[i] = block_index(edges[i]);
+    ++blocks_[block_of[i]].size;
+  }
+
+  // Pass 2 lays the blocks out back to back, each with its slack.
+  const double slack = options_.slack;
+  std::uint64_t placed = 0;
+  std::uint64_t counted = 0;
+  for (Block& b : blocks_) {
+    const std::uint64_t capacity =
+        static_cast<std::uint64_t>(std::ceil(b.size * (1.0 + slack))) + 4;
+    HYVE_CHECK(capacity <= kMax32);
+    counted += b.size;
+    b.offset = placed;
+    b.capacity = static_cast<std::uint32_t>(capacity);
+    b.size = 0;
+    placed += capacity;
+  }
+  HYVE_CHECK_MSG(counted == edges.size(), "a block holds 2^32 edges or more");
+  // Overflowing blocks move to the arena tail. Reserving address space for
+  // the tail to grow by half keeps the arena from being copied (and held
+  // twice) on the first move; reserved pages cost memory only once used.
+  arena_.reserve(placed + placed / 2);
+  arena_.resize(placed);
+
+  // Pass 3 scatters the edges stably, in input order, and records each
+  // one's slot in the locator.
+  locator_ = FlatTable(
+      static_cast<std::size_t>(std::ceil(edges.size() * (1.0 + slack))));
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    Block& b = blocks_[block_of[i]];
+    arena_[b.offset + b.size] = edges[i];
+    locator_.insert(pack(edges[i]), b.size++);
+  }
+  num_edges_ = edges.size();
 }
 
-std::uint64_t DynamicGraphStore::block_key(VertexId src, VertexId dst) const {
-  return static_cast<std::uint64_t>(vmap_.interval_of(src)) * grid_ +
-         vmap_.interval_of(dst);
+std::uint64_t DynamicGraphStore::block_key(Edge e) const {
+  return static_cast<std::uint64_t>(vmap_.interval_of(e.src)) * grid_ +
+         vmap_.interval_of(e.dst);
 }
 
-DynamicGraphStore::Block& DynamicGraphStore::block_for(VertexId src,
-                                                       VertexId dst) {
-  const std::uint64_t key = block_key(src, dst);
-  if (options_.hashed_block_directory) return hashed_blocks_[key];
-  return dense_blocks_[key];
+std::uint32_t DynamicGraphStore::block_index(Edge e) {
+  const std::uint64_t key = block_key(e);
+  if (!options_.hashed_block_directory) return static_cast<std::uint32_t>(key);
+  HYVE_CHECK(blocks_.size() < kMax32);
+  const auto fresh = static_cast<std::uint32_t>(blocks_.size());
+  const std::uint32_t index = directory_.find_or_insert(key, fresh);
+  // A block the directory has not seen yet reserves nothing, so its first
+  // edge chains its first chunk.
+  if (index == fresh) blocks_.push_back({arena_.size(), 0, 0});
+  return index;
+}
+
+void DynamicGraphStore::chain_overflow_chunk(Block& b) {
+  const std::uint64_t capacity =
+      b.capacity + std::max<std::uint64_t>(4, b.capacity / 4);
+  HYVE_CHECK(capacity <= kMax32);
+  if (b.offset + b.capacity == arena_.size()) {
+    // The block ends the arena: the chunk extends it in place.
+    arena_.resize(b.offset + capacity);
+  } else {
+    // Move the block to the arena tail; its old slots stay dead.
+    const std::uint64_t offset = arena_.size();
+    arena_.resize(offset + capacity);
+    std::copy_n(arena_.begin() + b.offset, b.size, arena_.begin() + offset);
+    b.offset = offset;
+  }
+  b.capacity = static_cast<std::uint32_t>(capacity);
+  ++overflow_chunks_;
 }
 
 bool DynamicGraphStore::add_edge(Edge e) {
   if (e.src >= num_vertices_ || e.dst >= num_vertices_) return false;
-  Block& b = block_for(e.src, e.dst);
-  if (b.edges.size() == b.capacity) {
-    // Reserved space exhausted: chain an overflow chunk at the block end.
-    const std::uint64_t chunk = std::max<std::uint64_t>(4, b.capacity / 4);
-    b.capacity += chunk;
-    b.edges.reserve(b.capacity);
-    ++overflow_chunks_;
-  }
-  b.edges.push_back(e);
-  locator_add(e, static_cast<std::uint32_t>(b.edges.size() - 1));
+  Block& b = blocks_[block_index(e)];
+  // Reserved space exhausted: chain an overflow chunk at the block end.
+  if (b.size == b.capacity) chain_overflow_chunk(b);
+  arena_[b.offset + b.size] = e;
+  locator_.insert(pack(e), b.size++);
   ++num_edges_;
   return true;
 }
 
 bool DynamicGraphStore::delete_edge(Edge e) {
   if (e.src >= num_vertices_ || e.dst >= num_vertices_) return false;
-  std::uint32_t slot = 0;
-  if (!locator_find(e, slot)) return false;
-  Block& b = block_for(e.src, e.dst);
-  locator_remove(e, slot);
+  const std::optional<std::uint32_t> slot = locator_.erase(pack(e));
+  if (!slot) return false;
+  Block& b = blocks_[block_index(e)];
   // §5: replace the edge with the block's last edge, free the tail slot.
-  const Edge moved = b.edges.back();
-  const auto last = static_cast<std::uint32_t>(b.edges.size() - 1);
-  if (slot != last) {
-    locator_remove(moved, last);
-    b.edges[slot] = moved;
-    locator_add(moved, slot);
+  const std::uint32_t last = --b.size;
+  if (*slot != last) {
+    const Edge moved = arena_[b.offset + last];
+    arena_[b.offset + *slot] = moved;
+    std::uint32_t* moved_slot = locator_.find(pack(moved), last);
+    HYVE_CHECK(moved_slot != nullptr);
+    *moved_slot = *slot;
   }
-  b.edges.pop_back();
   --num_edges_;
-  return true;
-}
-
-void DynamicGraphStore::locator_add(Edge e, std::uint32_t slot) {
-  locator_.emplace(pack(e), slot);
-}
-
-bool DynamicGraphStore::locator_remove(Edge e, std::uint32_t slot) {
-  auto [first, last] = locator_.equal_range(pack(e));
-  for (auto it = first; it != last; ++it) {
-    if (it->second == slot) {
-      locator_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool DynamicGraphStore::locator_find(Edge e, std::uint32_t& slot) const {
-  const auto it = locator_.find(pack(e));
-  if (it == locator_.end()) return false;
-  slot = it->second;
   return true;
 }
 
@@ -137,6 +172,7 @@ bool DynamicGraphStore::is_vertex_valid(VertexId v) const {
 }
 
 void DynamicGraphStore::rebuild(VertexId new_num_vertices) {
+  const obs::HostSpan host_span("dynamic.rebuild");
   ++preprocess_count_;
   Graph current = snapshot();
   DynamicGraphStore fresh(
@@ -154,12 +190,9 @@ void DynamicGraphStore::rebuild(VertexId new_num_vertices) {
 Graph DynamicGraphStore::snapshot() const {
   std::vector<Edge> edges;
   edges.reserve(num_edges_);
-  if (options_.hashed_block_directory) {
-    for (const auto& [key, b] : hashed_blocks_)
-      edges.insert(edges.end(), b.edges.begin(), b.edges.end());
-  } else {
-    for (const Block& b : dense_blocks_)
-      edges.insert(edges.end(), b.edges.begin(), b.edges.end());
+  for (const Block& b : blocks_) {
+    const auto first = arena_.begin() + static_cast<std::ptrdiff_t>(b.offset);
+    edges.insert(edges.end(), first, first + b.size);
   }
   return Graph(num_vertices_, std::move(edges));
 }

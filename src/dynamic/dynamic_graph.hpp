@@ -11,21 +11,30 @@
 //     is not sequential, so chaining does not work there);
 //   * delete vertex — the value is invalidated in place (e.g. -1 for PR).
 //
-// §5 calls the key enabler "address managements for graph data in the
-// memory": the host keeps an edge-locator index so a delete request goes
-// straight to the edge's slot instead of scanning its block.
+// Layout. Every block is an {offset, size, capacity} run in one edge
+// arena, laid out block-major by a counting sort with each block's slack
+// reserved behind its edges. Chaining an overflow chunk grows the block
+// in place when it ends the arena and otherwise moves it to the arena
+// tail; the §5 accounting (chunk sizes, overflow_chunks()) does not
+// depend on where a block lives.
 //
-// The same store parameterised at GraphR's 8x8-vertex granularity is the
-// Fig. 20 baseline: its block grid is too large for direct indexing and
-// must be addressed through a hash directory, which is where the
-// throughput gap comes from.
+// §5 calls the key enabler "address managements for graph data in the
+// memory": the host keeps an edge locator, a flat open-addressing table
+// from each edge to its slot within its block, so a delete goes straight
+// to the edge's slot (one probe to find and erase it, one to retarget the
+// block's moved last edge) instead of scanning the block.
+//
+// The same store at GraphR's 8x8-vertex granularity is the Fig. 20
+// baseline: its (V/8)^2 block grid is too large to index directly, so a
+// second flat table maps each block key to a block, created on first
+// touch. That directory lookup is the only difference between the two
+// layouts, and it is where the throughput gap comes from.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "dynamic/flat_table.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 
@@ -34,8 +43,8 @@ namespace hyve {
 struct DynamicGraphOptions {
   std::uint32_t num_intervals = 64;
   double slack = 0.30;  // reserved fraction per block/interval
-  // Address blocks through a hash map instead of a dense grid (GraphR's
-  // (V/8)^2 blocks cannot be directly indexed).
+  // Address blocks through a hashed directory instead of a dense grid
+  // (GraphR's (V/8)^2 blocks cannot be directly indexed).
   bool hashed_block_directory = false;
 };
 
@@ -45,8 +54,8 @@ class DynamicGraphStore {
 
   // O(1) amortised; returns false for out-of-range endpoints.
   bool add_edge(Edge e);
-  // Removes one occurrence; returns false if absent. Locating the edge
-  // scans its (small) block; removal itself is swap-with-last, O(1).
+  // Removes one occurrence; returns false if absent. The locator finds
+  // the edge's slot; removal itself is swap-with-last, O(1).
   bool delete_edge(Edge e);
 
   // Appends a vertex; triggers re-preprocessing when the interval slack
@@ -63,27 +72,26 @@ class DynamicGraphStore {
 
   // Materialises the current edge set (valid vertices only are the
   // caller's concern; edges of invalidated vertices are included as §5
-  // leaves them in place).
+  // leaves them in place). Edges come block by block: block-major in the
+  // direct-indexed layout, in block-creation order in the hashed one.
   Graph snapshot() const;
 
  private:
   struct Block {
-    std::vector<Edge> edges;      // size() <= capacity, then chained
-    std::uint64_t capacity = 0;   // reserved slots before chaining
+    std::uint64_t offset = 0;    // first slot in arena_
+    std::uint32_t size = 0;      // live edges, in [offset, offset + size)
+    std::uint32_t capacity = 0;  // reserved slots before the next chunk
   };
 
-  std::uint64_t block_key(VertexId src, VertexId dst) const;
-  Block& block_for(VertexId src, VertexId dst);
+  std::uint64_t block_key(Edge e) const;
+  // The edge's block; the hashed layout creates it on first touch.
+  std::uint32_t block_index(Edge e);
+  void chain_overflow_chunk(Block& b);
   void rebuild(VertexId new_num_vertices);
 
   static std::uint64_t pack(Edge e) {
     return (static_cast<std::uint64_t>(e.src) << 32) | e.dst;
   }
-  void locator_add(Edge e, std::uint32_t slot);
-  // Removes the locator entry for e at `slot`; returns false if absent.
-  bool locator_remove(Edge e, std::uint32_t slot);
-  // Finds any slot holding e in its block; returns false if absent.
-  bool locator_find(Edge e, std::uint32_t& slot) const;
 
   DynamicGraphOptions options_;
   VertexId num_vertices_ = 0;
@@ -93,10 +101,12 @@ class DynamicGraphStore {
   // intervals than live vertices; trailing intervals sit empty).
   VertexMap vmap_;
   std::uint32_t grid_ = 1;  // intervals per axis
-  std::vector<Block> dense_blocks_;                      // HyVE layout
-  std::unordered_map<std::uint64_t, Block> hashed_blocks_;  // GraphR layout
+  std::vector<Edge> arena_;    // every block's slots; dead runs after moves
+  std::vector<Block> blocks_;  // HyVE: indexed by block key; GraphR: by
+                               // creation order, through directory_
+  FlatTable directory_;        // GraphR layout: block key -> block index
   // Host-side address management (§5): edge -> slot within its block.
-  std::unordered_multimap<std::uint64_t, std::uint32_t> locator_;
+  FlatTable locator_;
   std::vector<bool> vertex_valid_;
   std::uint64_t preprocess_count_ = 0;
   std::uint64_t overflow_chunks_ = 0;

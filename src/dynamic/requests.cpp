@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -50,6 +51,7 @@ std::vector<DynamicRequest> generate_requests(const Graph& initial,
 
 ThroughputResult apply_requests(DynamicGraphStore& store,
                                 std::span<const DynamicRequest> requests) {
+  const obs::HostSpan host_span("dynamic.apply");
   ThroughputResult result;
   const auto start = std::chrono::steady_clock::now();
   for (const DynamicRequest& req : requests) {

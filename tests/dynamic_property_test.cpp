@@ -1,9 +1,16 @@
 // Property test: DynamicGraphStore against a trivial reference model
 // (an edge multiset + a vertex-validity vector) over long random
-// operation sequences, for both the HyVE and GraphR layouts.
+// operation sequences, for both the HyVE and GraphR layouts, with and
+// without reserved slack, on an R-MAT graph and on a 16-vertex graph of
+// stacked parallel edges. Zero slack and the crowded graph keep blocks
+// overflowing (so they move to the arena tail) and make most deletes hit
+// an edge with duplicates, often the block's last edge.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
@@ -50,26 +57,51 @@ std::multiset<std::pair<VertexId, VertexId>> snapshot_edges(
   return s;
 }
 
+enum class Shape { kRmat, kParallelEdges };
+
+void PrintTo(Shape shape, std::ostream* os) {
+  *os << (shape == Shape::kRmat ? "rmat" : "parallel-edges");
+}
+
+// 16 vertices, 400 edges: every pair carries parallel edges.
+constexpr VertexId kParallelVertices = 16;
+Graph parallel_edge_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> edges;
+  for (int i = 0; i < 400; ++i)
+    edges.push_back({static_cast<VertexId>(rng.next_below(kParallelVertices)),
+                     static_cast<VertexId>(rng.next_below(kParallelVertices))});
+  return Graph(kParallelVertices, std::move(edges));
+}
+
 class DynamicPropertyTest
-    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<bool, double, Shape, std::uint64_t>> {};
 
 TEST_P(DynamicPropertyTest, AgreesWithReferenceModel) {
-  const auto [hashed, seed] = GetParam();
-  const Graph g = generate_rmat(600, 2500, {}, seed);
+  const auto [hashed, slack, shape, seed] = GetParam();
+  const Graph g = shape == Shape::kRmat ? generate_rmat(600, 2500, {}, seed)
+                                        : parallel_edge_graph(seed);
   DynamicGraphOptions options;
   options.num_intervals = hashed ? (g.num_vertices() + 7) / 8 : 6;
   options.hashed_block_directory = hashed;
+  options.slack = slack;
 
   DynamicGraphStore store(g, options);
   ReferenceModel ref(g);
   Rng rng(seed * 31 + 7);
+  // Added edges stay among the original vertices of the crowded graph so
+  // they keep stacking onto existing pairs.
+  const auto endpoint = [&] {
+    const VertexId range = shape == Shape::kRmat ? store.num_vertices() + 2
+                                                 : kParallelVertices + 2;
+    return static_cast<VertexId>(rng.next_below(range));
+  };
 
   for (int op = 0; op < 4000; ++op) {
     const double r = rng.next_double();
     if (r < 0.40) {
-      const Edge e{
-          static_cast<VertexId>(rng.next_below(store.num_vertices() + 2)),
-          static_cast<VertexId>(rng.next_below(store.num_vertices() + 2))};
+      const Edge e{endpoint(), endpoint()};
       EXPECT_EQ(store.add_edge(e), ref.add_edge(e)) << "op " << op;
     } else if (r < 0.80) {
       // Bias deletions towards edges likely to exist.
@@ -104,7 +136,8 @@ TEST_P(DynamicPropertyTest, AgreesWithReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, DynamicPropertyTest,
-    ::testing::Combine(::testing::Bool(),
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0.30, 0.0),
+                       ::testing::Values(Shape::kRmat, Shape::kParallelEdges),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u)));
 
 }  // namespace

@@ -144,6 +144,32 @@ TEST(DynamicGraph, HashedDirectoryBehavesIdentically) {
   EXPECT_EQ(edge_multiset(a.snapshot()), edge_multiset(b.snapshot()));
 }
 
+TEST(DynamicGraph, SlackAccountingPinnedOnRequestStream) {
+  // §5 accounting on a fixed R-MAT graph and request stream: how many
+  // overflow chunks each layout chains and how often the vertex slack
+  // forces re-preprocessing. The counts depend only on per-block edge
+  // counts, never on where a block sits in memory, so any store layout
+  // must reproduce them exactly.
+  const Graph g = generate_rmat(20000, 100000, {}, 15);
+  const auto reqs = generate_requests(g, 200000, {}, 17);
+  DynamicGraphOptions graphr;
+  graphr.num_intervals = (g.num_vertices() + 7) / 8;
+  graphr.hashed_block_directory = true;
+
+  DynamicGraphStore hyve_store(g, hyve_options(16));
+  DynamicGraphStore graphr_store(g, graphr);
+  apply_requests(hyve_store, reqs);
+  apply_requests(graphr_store, reqs);
+  EXPECT_EQ(hyve_store.num_edges(), 100500u);
+  EXPECT_EQ(hyve_store.overflow_chunks(), 868u);
+  EXPECT_EQ(hyve_store.preprocess_count(), 1u);
+  EXPECT_EQ(graphr_store.num_edges(), 100500u);
+  // Every block the stream touches first gets its first chunk here: a
+  // hashed directory reserves nothing for blocks it has not seen.
+  EXPECT_EQ(graphr_store.overflow_chunks(), 86729u);
+  EXPECT_EQ(graphr_store.preprocess_count(), 1u);
+}
+
 // ---------- request streams ----------
 
 TEST(Requests, DeterministicGeneration) {

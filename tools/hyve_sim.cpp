@@ -25,6 +25,8 @@
 #include "core/bench_json.hpp"
 #include "core/machine.hpp"
 #include "core/report_io.hpp"
+#include "dynamic/dynamic_graph.hpp"
+#include "dynamic/requests.hpp"
 #include "exp/cache.hpp"
 #include "exp/sweep.hpp"
 #include "graph/blocked_format.hpp"
@@ -57,13 +59,13 @@ std::uint64_t sniff_magic(const std::string& path) {
 }
 
 // --list-metrics: registers every instrument the simulator, the sweep
-// engine, the caches, the host profiler and live telemetry can emit by
-// exercising each subsystem once on tiny inputs, then prints the
-// registry schema as a markdown table. The output is checked in as
-// docs/METRICS.md and scripts/verify.sh diffs the two, so metric names
-// cannot drift from the docs. Values are irrelevant — only the *name
-// set* must be deterministic, and it is: the same subsystems register
-// the same names on every host.
+// engine, the caches, the dynamic store, the host profiler and live
+// telemetry can emit by exercising each subsystem once on tiny inputs,
+// then prints the registry schema as a markdown table. The output is
+// checked in as docs/METRICS.md and scripts/verify.sh diffs the two, so
+// metric names cannot drift from the docs. Values are irrelevant — only
+// the *name set* must be deterministic, and it is: the same subsystems
+// register the same names on every host.
 int run_metrics_census() {
   using namespace hyve;
   namespace fs = std::filesystem;
@@ -137,6 +139,15 @@ int run_metrics_census() {
     const std::vector<MemRequest> scan = controller.full_edge_scan();
     DramTimingSim().run(scan);
     ReramTimingSim().run(scan);
+  }
+
+  // A tiny dynamic store and request stream: host.span.dynamic.build /
+  // apply / rebuild (the stream adds more vertices than the 64-vertex
+  // graph's slack holds, so the store re-preprocesses).
+  {
+    const Graph dynamic_graph = generate_rmat(64, 256, {}, 1);
+    DynamicGraphStore store(dynamic_graph, DynamicGraphOptions{});
+    apply_requests(store, generate_requests(dynamic_graph, 1000, {}, 1));
   }
 
   // One live-telemetry session against a scratch path: the live.*
