@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -33,16 +32,14 @@
 #include <utility>
 #include <vector>
 
-#include "algos/frontier.hpp"
 #include "core/bench_json.hpp"
 #include "core/machine.hpp"
 #include "exp/cache.hpp"
+#include "exp/run_session.hpp"
 #include "exp/sweep.hpp"
 #include "graph/datasets.hpp"
 #include "obs/host_profiler.hpp"
-#include "obs/live.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -71,6 +68,13 @@ inline exp::FunctionalCache& functional_cache() {
   return cache;
 }
 
+// The engine behind run_grid, on the shared caches; its functional
+// counts add up over every grid the bench runs.
+inline exp::SweepEngine& sweep_engine() {
+  static exp::SweepEngine engine(graph_cache(), partition_cache());
+  return engine;
+}
+
 // The --partitioner strategy, applied to every cell that flows through
 // run_dataset/run_grid. Stays the default interval-block split unless
 // the flag was given, so existing bench output is untouched.
@@ -80,8 +84,8 @@ inline PartitionerSpec& partitioner_spec() {
 }
 
 // Collector behind --json: every report that flows through run_dataset /
-// run_grid is captured here and serialised by Options::finish(). Off by
-// default so benches without --json pay one branch per cell.
+// run_grid is captured here and serialised by JsonReport::write(). Off
+// by default so benches without --json pay one branch per cell.
 struct JsonCollector {
   std::mutex mu;
   bool enabled = false;
@@ -101,139 +105,19 @@ inline void record_report(const std::string& graph_key,
   collector.runs.push_back(BenchRun{graph_key, report});
 }
 
-// The shared bench command line (every bench_* binary accepts these):
-//   --jobs N              sweep worker threads (0 = hardware concurrency)
-//   --datasets YT,WK,...  restrict the dataset axis of dataset benches
-//   --partitioner SPEC    partitioning strategy for every cell
-//   --smoke               deterministic stand-ins for wall-clock timings
-//   --graph-cache-mb N    byte budget for the shared graph cache
-//   --ooc-window-mb N     decode-window budget per blocked graph reader
-//   --partition-cache N   entry cap for the shared partition cache
-//   --no-pattern-reuse    disable per-iteration pattern reuse in
-//                         frontier runs (identical output)
-//   --cache-stats         print cache counters to stderr after the run
-//   --metrics             dump the full metrics registry to stderr
-//   --host-profile        wall-clock spans, memory sampling and stage
-//                         rates (host.* metrics; extra trace track)
-//   --trace PATH          write a Chrome trace-event JSON of the run
-//   --json PATH           write a versioned bench report JSON of the run
-//                         (validate/diff/record with hyve_report)
-//   --live-status PATH[,interval_ms[,stall_ms]]
-//                         publish a live status JSON snapshot (progress,
-//                         ETA, worker heartbeats, metrics, RSS) to PATH
-//                         on the interval; watch with tools/hyve_top
-struct Options {
-  int jobs = 1;
+// The --json bench report. The run session's save hook holds a copy, so
+// the flight recorder can write a partial report from its own thread
+// without touching main()'s stack.
+struct JsonReport {
+  std::string bench;
+  std::string path;
   bool smoke = false;
-  std::vector<DatasetId> datasets{kAllDatasets.begin(), kAllDatasets.end()};
-  bool cache_stats = false;
-  bool metrics = false;
-  bool host_profile = false;          // --host-profile was given
-  std::string trace_path;
-  std::shared_ptr<obs::Trace> trace;  // set when --trace was given
-  std::string json_path;              // set when --json was given
-  // Set when --live-status was given; live_telemetry() runs for the
-  // whole bench and finish()/flight_save() publish the final state.
-  std::optional<obs::LiveStatusOptions> live;
-  std::string bench_name;             // the binary's prog name
-  int resolved_jobs = 1;              // jobs with 0 resolved to the machine
+  std::vector<DatasetId> datasets;
+  int jobs = 1;  // --jobs with 0 resolved to the machine
   // Process wall-clock epoch for the report's host section, pinned at
   // parse_args time (≈ process start).
-  std::chrono::steady_clock::time_point started =
-      std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point started;
 
-  // Emits the requested telemetry. Everything goes to stderr (or the
-  // --trace file) so stdout keeps the byte-identical --jobs guarantee
-  // (wall times and eviction order depend on worker scheduling). Call at
-  // the end of main().
-  void finish() const {
-    // Stop before the trace/report writes so host.wall_us, the rate
-    // gauges, and the final memory sample land in both.
-    if (host_profile) obs::host_profiler().stop();
-    if (cache_stats || metrics) {
-      obs::Registry& reg = obs::registry();
-      // The instantaneous occupancy gauges are refreshed here so the
-      // dump reflects end-of-run state even if the last touch was an
-      // out-of-band eviction (set_byte_budget shrinking a live cache).
-      reg.gauge("exp.graph_cache.resident_bytes")
-          .set(static_cast<std::int64_t>(graph_cache().resident_bytes()));
-      reg.gauge("exp.graph_cache.byte_budget")
-          .set(static_cast<std::int64_t>(graph_cache().byte_budget()));
-      reg.gauge("exp.partition_cache.resident")
-          .set(static_cast<std::int64_t>(partition_cache().resident()));
-      reg.gauge("exp.functional_cache.bytes")
-          .set(static_cast<std::int64_t>(
-              bench::functional_cache().resident_bytes()));
-      if (cache_stats) {
-        std::cerr << "cache stats: graphs loads="
-                  << reg.counter("exp.graph_cache.loads").value()
-                  << " evictions="
-                  << reg.counter("exp.graph_cache.evictions").value()
-                  << " resident_bytes="
-                  << reg.gauge("exp.graph_cache.resident_bytes").value()
-                  << "; partitions builds="
-                  << reg.counter("exp.partition_cache.builds").value()
-                  << " evictions="
-                  << reg.counter("exp.partition_cache.evictions").value()
-                  << " resident="
-                  << reg.gauge("exp.partition_cache.resident").value()
-                  << "\n";
-        for (const auto& [strategy, stats] :
-             partition_cache().strategy_stats())
-          std::cerr << "partition cache[" << strategy
-                    << "]: hits=" << stats.hits
-                    << " builds=" << stats.builds
-                    << " evictions=" << stats.evictions << "\n";
-        std::cerr << "functional cache: hits="
-                  << reg.counter("exp.functional_cache.hits").value()
-                  << " misses="
-                  << reg.counter("exp.functional_cache.misses").value()
-                  << " bytes="
-                  << reg.gauge("exp.functional_cache.bytes").value() << "\n";
-      }
-      if (metrics) reg.dump(std::cerr);
-    }
-    if (trace) trace->write_file(trace_path);
-    if (!json_path.empty()) write_json_report();
-    // Last, so the final "done" snapshot reflects end-of-run metrics.
-    if (obs::live_telemetry().enabled()) obs::live_telemetry().stop("done");
-  }
-
-  // Flight-recorder save path: runs once on the recorder thread after
-  // SIGINT/SIGTERM (or a hooked abort) and finalizes whatever partial
-  // outputs the run was asked for — a truncated but loadable trace, a
-  // partial (still --check-clean) bench report, a final "interrupted"
-  // status snapshot, and a registry dump to stderr. Sweep workers are
-  // still running; every file goes through temp + rename so nothing is
-  // ever half-written.
-  void flight_save(int signum) const {
-    if (obs::live_telemetry().enabled())
-      obs::live_telemetry().stop("interrupted");
-    if (host_profile) obs::host_profiler().stop();
-    if (trace) {
-      try {
-        trace->write_file_atomic(trace_path, /*truncated=*/true);
-        std::cerr << bench_name << ": flight-recorded truncated trace "
-                  << trace_path << "\n";
-      } catch (const std::exception& e) {
-        std::cerr << bench_name
-                  << ": trace flight record failed: " << e.what() << "\n";
-      }
-    }
-    if (!json_path.empty()) {
-      try {
-        write_json_report();
-      } catch (const std::exception& e) {
-        std::cerr << bench_name
-                  << ": report flight record failed: " << e.what() << "\n";
-      }
-    }
-    if (obs::enabled()) obs::registry().dump(std::cerr);
-    std::cerr << bench_name << ": flight record complete (signal "
-              << signum << ")\n";
-  }
-
- private:
   // Builds and writes the BenchReportDoc from everything the collector
   // captured. Only deterministic content goes in: runs are sorted and
   // deduplicated by (config, algorithm, graph) — run order depends on
@@ -241,9 +125,9 @@ struct Options {
   // rollup keeps only sim.* instruments (simulated counts; exp.* mixes
   // in wall clock and eviction order). This is what lets the bench-json
   // CI step byte-diff --jobs 1 against --jobs 8.
-  void write_json_report() const {
+  void write() const {
     BenchReportDoc doc;
-    doc.bench = bench_name;
+    doc.bench = bench;
     doc.git_rev = build_git_rev();
     doc.smoke = smoke;
     for (const DatasetId id : datasets)
@@ -277,7 +161,7 @@ struct Options {
             std::chrono::steady_clock::now() - started)
             .count();
     doc.host.max_rss_kb = obs::read_host_memory().peak_rss_kb;
-    doc.host.jobs = resolved_jobs;
+    doc.host.jobs = jobs;
     std::istringstream dump(obs::registry().dump_string());
     std::string line;
     while (std::getline(dump, line)) {
@@ -289,19 +173,56 @@ struct Options {
     }
     // Temp + rename: the flight recorder can fire while (or after) the
     // normal finish() writes, and readers must never see partial bytes.
-    const std::string tmp = json_path + ".part";
+    const std::string tmp = path + ".part";
     write_bench_report_file(tmp, doc);
-    if (std::rename(tmp.c_str(), json_path.c_str()) != 0)
-      throw std::runtime_error("cannot publish bench report " + json_path);
-    std::cerr << bench_name << ": wrote " << json_path << " ("
-              << doc.runs.size() << " run(s))\n";
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+      throw std::runtime_error("cannot publish bench report " + path);
+    std::cerr << bench << ": wrote " << path << " (" << doc.runs.size()
+              << " run(s))\n";
+  }
+};
+
+// The shared bench command line (every bench_* binary accepts these):
+//   --jobs N              sweep worker threads (0 = hardware concurrency)
+//   --datasets YT,WK,...  restrict the dataset axis of dataset benches
+//   --partitioner SPEC    partitioning strategy for every cell
+//   --smoke               deterministic stand-ins for wall-clock timings
+//   --graph-cache-mb N    byte budget for the shared graph cache
+//   --ooc-window-mb N     decode-window budget per blocked graph reader
+//   --partition-cache N   entry cap for the shared partition cache
+//   --cache-stats         print cache counters to stderr after the run
+//   --json PATH           write a versioned bench report JSON of the run
+//                         (validate/diff/record with hyve_report)
+// plus the exp::RunSession flags (--metrics, --host-profile, --trace,
+// --live-status, --no-pattern-reuse).
+struct Options {
+  int jobs = 1;
+  bool smoke = false;
+  std::vector<DatasetId> datasets{kAllDatasets.begin(), kAllDatasets.end()};
+  bool cache_stats = false;
+  exp::RunSession session;
+
+  // Emits the requested telemetry. Everything goes to stderr (or the
+  // --trace/--json files) so stdout keeps the byte-identical --jobs
+  // guarantee (wall times and eviction order depend on worker
+  // scheduling). Call at the end of main().
+  void finish() const {
+    if (cache_stats) {
+      exp::MemoStats functional = functional_cache().stats();
+      functional.hits += sweep_engine().functional_hits();
+      functional.builds += sweep_engine().functional_builds();
+      exp::print_cache_stats(std::cerr, graph_cache(), partition_cache(),
+                             functional);
+    }
+    session.finish();
   }
 };
 
 inline Options parse_args(int argc, char** argv, const std::string& prog,
                           const std::string& summary) {
+  const auto started = std::chrono::steady_clock::now();
   Options opts;
-  opts.bench_name = prog;
+  std::string json_path;
   bool explicit_graph_budget = false;
   cli::ArgParser parser(prog, summary);
   parser.option("--jobs", "N",
@@ -357,67 +278,28 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
                       static_cast<std::size_t>(cli::parse_int(
                           parser, "--partition-cache", v, 0, 1 << 20)));
                 });
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(identical output, more host work)",
-              [&] { set_pattern_reuse_enabled(false); });
   parser.flag("--cache-stats", "print cache counters to stderr",
               &opts.cache_stats);
-  parser.flag("--metrics", "dump the metrics registry to stderr",
-              &opts.metrics);
-  parser.flag("--host-profile",
-              "profile the host process: wall-clock spans, RSS sampling "
-              "and stage rates as host.* metrics (and a wall-clock trace "
-              "track with --trace)",
-              &opts.host_profile);
-  parser.option("--trace", "PATH",
-                "write a Chrome trace-event JSON (chrome://tracing, "
-                "Perfetto) of the sweep to PATH",
-                [&](const std::string& v) { opts.trace_path = v; });
   parser.option("--json", "PATH",
                 "write a versioned bench report JSON (run reports, energy "
                 "ledger rollup, sim.* metrics) to PATH; validate or diff "
                 "with hyve_report",
-                [&](const std::string& v) { opts.json_path = v; });
-  parser.option("--live-status", "PATH[,interval_ms[,stall_ms]]",
-                "publish a live status JSON snapshot (progress, ETA, "
-                "worker heartbeats, metrics, RSS) to PATH on the "
-                "interval (default 500 ms); watch with hyve_top",
-                [&](const std::string& v) {
-                  const auto live = obs::parse_live_status(v);
-                  if (!live) parser.fail("bad --live-status spec " + v);
-                  opts.live = *live;
-                });
+                [&](const std::string& v) { json_path = v; });
+  opts.session = exp::RunSession(parser, prog);
   parser.parse(argc, argv);
-  // Telemetry is opt-in: the registry stays a single relaxed-load branch
-  // in the hot paths unless one of these flags asks for it. Enabling
-  // happens before any cell runs, so registry counters match the
-  // caches' own whole-run counters.
-  if (opts.cache_stats || opts.metrics || !opts.json_path.empty() ||
-      opts.host_profile || opts.live)
-    obs::set_enabled(true);
-  if (!opts.trace_path.empty()) {
-    opts.trace = std::make_shared<obs::Trace>();
-    add_attribution_metadata(*opts.trace, argc, argv);
+  std::function<void()> save_report;
+  if (!json_path.empty()) {
+    json_collector().enabled = true;
+    const int jobs =
+        opts.jobs > 0
+            ? opts.jobs
+            : static_cast<int>(
+                  std::max(1u, std::thread::hardware_concurrency()));
+    const JsonReport report{prog,          json_path, opts.smoke,
+                            opts.datasets, jobs,      started};
+    save_report = [report] { report.write(); };
   }
-  if (!opts.json_path.empty()) json_collector().enabled = true;
-  opts.resolved_jobs =
-      opts.jobs == 0
-          ? static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency()))
-          : opts.jobs;
-  if (opts.host_profile) obs::host_profiler().start(opts.trace.get());
-  if (opts.live) {
-    opts.live->bench = prog;
-    obs::live_telemetry().start(*opts.live);
-  }
-  // Any run with durable outputs is worth flight-recording: partial
-  // results are finalized instead of lost when the run is interrupted.
-  if (opts.trace || !opts.json_path.empty() || opts.live) {
-    const Options snapshot = opts;
-    obs::install_flight_recorder(
-        [snapshot](int signum) { snapshot.flight_save(signum); });
-  }
+  opts.session.start(argc, argv, std::move(save_report));
   // Without --graph-cache-mb the budget is sized from the machine
   // (fixed 256 MiB under --smoke so CI output is host-independent)
   // instead of growing without bound. Logged to stderr — stdout keeps
@@ -492,17 +374,17 @@ inline GridResults run_grid(const exp::SweepSpec& spec, const Options& opts) {
   if (!partitioner_spec().is_default() && grid_spec.partitioners.size() == 1 &&
       grid_spec.partitioners.front().is_default())
     grid_spec.partitioners = {partitioner_spec()};
-  exp::SweepEngine engine(graph_cache(), partition_cache());
   exp::SweepOptions options;
   options.jobs = opts.jobs;
-  options.trace = opts.trace.get();
+  options.trace = opts.session.trace();
   // Capture reports as cells flush (not after the sweep returns): a
   // flight-recorded partial --json then carries every finished cell.
   options.on_result = [](const exp::SweepCell& cell,
                          const RunReport& report) {
     record_report(cell.graph_key, report);
   };
-  std::vector<exp::SweepResult> results = engine.run(grid_spec, options);
+  std::vector<exp::SweepResult> results =
+      sweep_engine().run(grid_spec, options);
   return GridResults(spec, std::move(results));
 }
 

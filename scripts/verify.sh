@@ -228,8 +228,9 @@ echo "metrics-doc: OK"
 # layout and aborts itself if any kernel drifts from the per-edge
 # reference, so a clean exit IS the equivalence check; its smoke report
 # must satisfy hyve_report and be byte-identical across --jobs. Pattern
-# reuse must be invisible end-to-end: a sweep's records may not change
-# by a byte with the reuse layer disabled, serial or parallel.
+# reuse must be invisible end-to-end: a frontier sweep that really skips
+# blocks may not change by a byte with the reuse layer disabled, serial
+# or parallel.
 ./build/bench/bench_micro --smoke --jobs 1 \
   --json "$obs_dir/micro_j1.json" >/dev/null 2>&1 ||
   { echo "kernel-regression: bench_micro layout equivalence failed" >&2
@@ -244,13 +245,18 @@ strip_host "$obs_dir/micro_j8.json" > "$obs_dir/micro_j8.nohost"
 cmp "$obs_dir/micro_j1.nohost" "$obs_dir/micro_j8.nohost" ||
   { echo "kernel-regression: --jobs 1 and --jobs 8 reports differ" >&2
     exit 1; }
-./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 1 \
-  --no-pattern-reuse > "$obs_dir/exp_noreuse.jsonl"
-cmp "$obs_dir/exp_j1.jsonl" "$obs_dir/exp_noreuse.jsonl" ||
+./build/tools/hyve_experiments --datasets YT --algos bfs,pr --frontier \
+  --jobs 1 --metrics > "$obs_dir/exp_reuse.jsonl" \
+  2>"$obs_dir/exp_reuse_metrics.txt"
+grep -q 'sim\.kernel\.blocks_skipped=[1-9]' "$obs_dir/exp_reuse_metrics.txt" ||
+  { echo "kernel-regression: pattern reuse skipped no blocks" >&2; exit 1; }
+./build/tools/hyve_experiments --datasets YT --algos bfs,pr --frontier \
+  --jobs 1 --no-pattern-reuse > "$obs_dir/exp_noreuse.jsonl"
+cmp "$obs_dir/exp_reuse.jsonl" "$obs_dir/exp_noreuse.jsonl" ||
   { echo "kernel-regression: --no-pattern-reuse changed sweep output" >&2
     exit 1; }
-./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 8 \
-  --no-pattern-reuse > "$obs_dir/exp_noreuse_j8.jsonl"
+./build/tools/hyve_experiments --datasets YT --algos bfs,pr --frontier \
+  --jobs 8 --no-pattern-reuse > "$obs_dir/exp_noreuse_j8.jsonl"
 cmp "$obs_dir/exp_noreuse.jsonl" "$obs_dir/exp_noreuse_j8.jsonl" ||
   { echo "kernel-regression: reuse-off sweep differs across --jobs" >&2
     exit 1; }

@@ -112,12 +112,10 @@ RunReport HyveMachine::run(const Graph& graph, VertexProgram& program,
   const auto partitioner = make_partitioner(config_.partitioner);
   if (config_.hash_balance) {
     // Simulate the hash-balanced layout (§4.3): block populations even
-    // out across PUs, which the per-step synchronisation rewards. The
-    // remap is memoized on the source graph, so repeated runs (sweeps
-    // over memory configs, back-to-back algorithms) pay for it once.
-    const std::shared_ptr<const Graph> balanced =
-        graph.hashed_remap_shared(config_.hash_balance_seed);
-    return run_with_schedule(*balanced, partitioner->partition(*balanced, p),
+    // out across PUs, which the per-step synchronisation rewards. Sweeps
+    // memoise the remap through exp::GraphCache::acquire_balanced.
+    const Graph balanced = graph.hashed_remap(config_.hash_balance_seed);
+    return run_with_schedule(balanced, partitioner->partition(balanced, p),
                              program, trace, trace_pid);
   }
   return run_with_schedule(graph, partitioner->partition(graph, p), program,

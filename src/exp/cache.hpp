@@ -1,36 +1,33 @@
-// Memoising graph and partition caches for the sweep engine (src/exp).
+// Memoising graph, partition and functional caches for the sweep engine
+// (src/exp).
 //
 // A (config × algorithm × dataset) sweep re-uses the same few graphs in
-// every cell; before these caches each cell re-loaded the graph,
-// re-applied the §4.3 hash-balancing remap and re-ran the counting-sort
-// partitioner. Both caches are safe for concurrent use by the engine's
-// worker pool: entries are created under a short map lock and built
-// under a per-entry mutex, so two workers needing the same graph share
-// one build while workers needing different graphs proceed in parallel.
+// every cell; without these caches each cell would re-load the graph,
+// re-apply the §4.3 hash-balancing remap, re-run the counting-sort
+// partitioner and re-run the vertex program. Each cache is a thin layer
+// over one exp::Memo (memo.hpp), which owns the build-once, per-entry
+// locking, LRU eviction and counters: two workers needing the same
+// artifact share one build while workers needing different ones proceed
+// in parallel, and evicting an entry another worker still uses only
+// drops the cache's reference.
 //
-// Sweeps over many generated graphs would otherwise grow the caches
-// without bound, so both are optionally size-capped: GraphCache takes a
-// byte budget and PartitionCache an entry cap, each enforced by LRU
-// eviction. Entries are handed out as shared_ptr, so evicting an entry
-// another worker is still using only drops the cache's reference — the
-// object is freed when its last user releases it. An evicted entry is
-// transparently rebuilt on the next request (build callables must
-// therefore be deterministic and repeatable), and evictions are counted
-// next to the loads()/builds() stats so cache behaviour is observable in
-// sweep output.
+// All three count hits, builds and evictions (exp.<cache>.* in the
+// registry) plus one resident gauge each. GraphCache takes an optional
+// byte budget and PartitionCache an optional entry cap; the functional
+// cache is unbounded and lives for one SweepEngine::run().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <utility>
 
 #include "core/machine.hpp"
+#include "exp/memo.hpp"
 #include "graph/blocked_reader.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph.hpp"
@@ -60,8 +57,7 @@ class GraphCache {
   // and rebuildable from disk like any generated graph);
   // acquire_blocked() hands out the reader itself for consumers that can
   // stream. Reader windows are opened with the ooc window budget and
-  // their residency counts against the cache's byte budget — block
-  // windows are cached bytes like any other.
+  // their residency counts against the cache's byte budget.
   void add_blocked(const std::string& key, const std::string& path);
   std::shared_ptr<BlockedGraphReader> acquire_blocked(const std::string& key);
 
@@ -69,26 +65,23 @@ class GraphCache {
   // cache opens (0 = unbounded, the default). Applies to already-open
   // readers immediately.
   void set_ooc_window_budget(std::size_t bytes);
-  std::size_t ooc_window_budget() const;
 
   bool contains(const std::string& key) const;
 
   // The registered graph, built on first use. The shared_ptr keeps the
   // graph alive across a concurrent eviction — under a byte budget,
-  // prefer these over the reference-returning accessors below.
+  // prefer it over the reference-returning base() below.
   std::shared_ptr<const Graph> acquire(const std::string& key);
 
-  // The hashed_remap(seed) image of `key` (§4.3 balancing), memoised per
-  // (key, seed) — one remap per sweep instead of one per cell.
+  // The hashed_remap(seed) image of `key` (§4.3 balancing), memoised
+  // under balanced_key(key, seed) — one remap per sweep instead of one
+  // per cell.
   std::shared_ptr<const Graph> acquire_balanced(const std::string& key,
                                                 std::uint64_t seed);
 
-  // Reference-returning conveniences for callers that set no byte budget
+  // Reference-returning convenience for callers that set no byte budget
   // (the reference is valid only while the entry stays resident).
   const Graph& base(const std::string& key) { return *acquire(key); }
-  const Graph& balanced(const std::string& key, std::uint64_t seed) {
-    return *acquire_balanced(key, seed);
-  }
 
   // Cache key of the balanced image, also used by PartitionCache.
   static std::string balanced_key(const std::string& key,
@@ -98,56 +91,41 @@ class GraphCache {
 
   // LRU byte budget over owned graphs (0 = unbounded, the default).
   // Dataset-backed and pinned entries are exempt; everything else is
-  // evicted least-recently-used first until the budget holds.
+  // evicted least-recently-used first until the budget holds. When that
+  // is not enough, the blocked readers' decode windows are released too
+  // (their blocks refault from the mapped file on next use).
   void set_byte_budget(std::size_t bytes);
-  std::size_t byte_budget() const;
+  std::size_t byte_budget() const { return memo_.budget(); }
   // Bytes of owned graphs plus blocked-reader decode windows currently
   // resident.
   std::size_t resident_bytes() const;
 
-  // Number of graphs materialised so far (builds including rebuilds
-  // after eviction, not hits).
-  std::size_t loads() const { return loads_.load(); }
-  // Number of graphs evicted to satisfy the byte budget.
-  std::size_t evictions() const { return evictions_.load(); }
+  MemoStats stats() const { return memo_.stats(); }
+  // Graphs materialised so far, rebuilds after eviction included.
+  std::size_t builds() const { return memo_.builds(); }
+  std::size_t evictions() const { return memo_.evictions(); }
 
  private:
-  struct Entry {
-    std::mutex build_mu;  // serialises (re)builds of this entry
+  struct Source {
     std::function<std::shared_ptr<const Graph>()> build;
-    std::shared_ptr<const Graph> graph;  // null until built / after evict
-    bool evictable = true;
-    std::uint64_t last_use = 0;
-    std::size_t bytes = 0;  // accounted while resident
+    bool pinned = false;
   };
-
-  void add_impl(const std::string& key,
-                std::function<std::shared_ptr<const Graph>()> build,
-                bool evictable);
-  Entry& entry_for(const std::string& key);
-  std::shared_ptr<const Graph> materialise(Entry& entry);
-  void evict_to_budget_locked(const Entry* keep);
-
-  struct BlockedEntry {
+  struct Blocked {
     std::string path;
     std::shared_ptr<BlockedGraphReader> reader;  // opened lazily
-    std::uint64_t last_use = 0;
   };
 
-  // Sum of open blocked readers' decoded-window bytes (under mu_).
-  std::size_t blocked_window_bytes_locked() const;
+  void add_source(const std::string& key, Source source);
+  std::size_t window_bytes() const;
+  void release_windows_over_budget();
 
-  mutable std::mutex mu_;  // guards the maps and LRU state, not builds
-  std::map<std::string, std::unique_ptr<Entry>> base_;
-  std::map<std::pair<std::string, std::uint64_t>, std::unique_ptr<Entry>>
-      balanced_;
-  std::map<std::string, BlockedEntry> blocked_;
-  std::uint64_t tick_ = 0;  // LRU clock (under mu_)
-  std::size_t budget_bytes_ = 0;
-  std::size_t resident_bytes_ = 0;
+  // Guards sources_, blocked_ and the window budget. Never held while
+  // calling into memo_ (whose budget check reads window_bytes()).
+  mutable std::mutex mu_;
+  std::map<std::string, Source> sources_;  // never erased: nodes are stable
+  std::map<std::string, Blocked> blocked_;
   std::size_t ooc_window_budget_ = 0;
-  std::atomic<std::size_t> loads_{0};
-  std::atomic<std::size_t> evictions_{0};
+  Memo<std::string, Graph> memo_;
 };
 
 // Byte budget for a GraphCache when the user gave none: a quarter of
@@ -161,15 +139,11 @@ std::size_t default_graph_cache_budget(bool smoke);
 // strategies over the same graph can never collide. The caller
 // guarantees `key` uniquely identifies the graph's edge layout — use
 // GraphCache keys (and GraphCache::balanced_key for remapped images).
+// Every acquire checks that the cached partitioning has the graph's
+// vertex and edge counts.
 class PartitionCache {
  public:
-  // Per-strategy counter snapshot (keyed by PartitionerSpec::to_string),
-  // so cache effectiveness is attributable per partitioner.
-  struct StrategyStats {
-    std::size_t hits = 0;
-    std::size_t builds = 0;
-    std::size_t evictions = 0;
-  };
+  PartitionCache();
 
   // The memoised partitioning of `graph` under `spec` (default: the
   // interval-block strategy), built on first use. The shared_ptr stays
@@ -178,49 +152,26 @@ class PartitionCache {
       const std::string& key, const Graph& graph, std::uint32_t num_intervals,
       const PartitionerSpec& spec = {});
 
-  // Reference-returning convenience for callers that set no entry cap
-  // (the reference is valid only while the entry stays resident).
-  const Partitioning& get(const std::string& key, const Graph& graph,
-                          std::uint32_t num_intervals,
-                          const PartitionerSpec& spec = {}) {
-    return *acquire(key, graph, num_intervals, spec);
-  }
-
   // LRU cap on resident partitionings (0 = unbounded, the default).
   // Enforced after each build; in-flight builds may overshoot briefly.
-  void set_max_entries(std::size_t n);
-  std::size_t max_entries() const;
+  void set_max_entries(std::size_t n) { memo_.set_budget(n); }
+  std::size_t max_entries() const { return memo_.budget(); }
   // Partitionings currently resident.
-  std::size_t resident() const;
+  std::size_t resident() const { return memo_.resident(); }
 
-  // Number of partitionings built so far (builds including rebuilds
-  // after eviction, not hits).
-  std::size_t builds() const { return builds_.load(); }
-  // Number of partitionings evicted to satisfy the entry cap.
-  std::size_t evictions() const { return evictions_.load(); }
-  // Hit/build/eviction counts broken down by partitioner strategy.
-  std::map<std::string, StrategyStats> strategy_stats() const;
+  MemoStats stats() const { return memo_.stats(); }
+  // Partitionings built so far, rebuilds after eviction included.
+  std::size_t builds() const { return memo_.builds(); }
+  std::size_t evictions() const { return memo_.evictions(); }
+  // The same counts broken down by partitioner strategy
+  // (PartitionerSpec::to_string).
+  std::map<std::string, MemoStats> strategy_stats() const {
+    return memo_.tag_stats();
+  }
 
  private:
-  struct Entry {
-    std::mutex build_mu;  // serialises (re)builds of this entry
-    std::shared_ptr<const Partitioning> partitioning;
-    std::string strategy;  // for eviction attribution
-    std::uint64_t last_use = 0;
-  };
-
-  void evict_to_cap_locked(const Entry* keep);
-
-  mutable std::mutex mu_;  // guards the map and LRU state, not builds
-  std::map<std::tuple<std::string, std::string, std::uint32_t>,
-           std::unique_ptr<Entry>>
-      entries_;
-  std::map<std::string, StrategyStats> strategy_stats_;  // under mu_
-  std::uint64_t tick_ = 0;
-  std::size_t max_entries_ = 0;
-  std::size_t resident_ = 0;
-  std::atomic<std::size_t> builds_{0};
-  std::atomic<std::size_t> evictions_{0};
+  Memo<std::tuple<std::string, std::string, std::uint32_t>, Partitioning>
+      memo_;
 };
 
 // Key of a memoised functional outcome. Two sweep cells share an
@@ -252,35 +203,19 @@ struct FunctionalKey {
 };
 
 // Memoised functional-phase outcomes (HyveMachine::run_functional_phase
-// results), following the GraphCache concurrency scheme: entries are
-// created under a short map lock and built under a per-entry mutex, so
-// workers needing the same outcome share one build while different
-// outcomes build in parallel. Entries live as long as the cache — each
-// SweepEngine::run() owns one — and are small: a dense outcome is a few
-// dozen bytes, a FrontierTrace ~iterations x active-block records.
-class FunctionalCache {
+// results), unbounded. Its resident cost is the outcomes'
+// FunctionalOutcome::approx_bytes(): a dense outcome is a few dozen
+// bytes, a FrontierTrace ~iterations x active-block records.
+class FunctionalCache : public Memo<FunctionalKey, FunctionalOutcome> {
  public:
-  // The memoised outcome for `key`, built on first use via `build`.
-  std::shared_ptr<const FunctionalOutcome> acquire(
-      const FunctionalKey& key,
-      const std::function<FunctionalOutcome()>& build);
-
-  // Sum of the held outcomes' FunctionalOutcome::approx_bytes().
-  std::size_t resident_bytes() const;
-  std::size_t hits() const { return hits_.load(); }
-  std::size_t misses() const { return misses_.load(); }
-
- private:
-  struct Entry {
-    std::mutex build_mu;  // serialises the build of this entry
-    std::shared_ptr<const FunctionalOutcome> outcome;
-  };
-
-  mutable std::mutex mu_;  // guards the map and byte count, not builds
-  std::map<FunctionalKey, std::unique_ptr<Entry>> entries_;
-  std::size_t resident_bytes_ = 0;
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
+  FunctionalCache();
 };
+
+// The --cache-stats report: one line per cache plus the per-strategy
+// partition breakdown. `functional` sums the functional memos the run
+// used (SweepEngine::run owns one per call).
+void print_cache_stats(std::ostream& os, const GraphCache& graphs,
+                       const PartitionCache& partitions,
+                       const MemoStats& functional);
 
 }  // namespace hyve::exp

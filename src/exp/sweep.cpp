@@ -264,8 +264,8 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
       ++flushed;
     }
   });
-  functional_hits_ += functional.hits();
-  functional_misses_ += functional.misses();
+  functional_.hits += functional.hits();
+  functional_.builds += functional.builds();
 
   std::vector<SweepResult> out;
   out.reserve(n);

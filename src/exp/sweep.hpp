@@ -145,15 +145,14 @@ class SweepEngine {
                                const SweepOptions& options = {},
                                ResultSink* sink = nullptr);
 
-  // Functional-memo hits and misses summed over every run() so far.
-  std::size_t functional_hits() const { return functional_hits_; }
-  std::size_t functional_misses() const { return functional_misses_; }
+  // Functional-memo hits and builds summed over every run() so far.
+  std::size_t functional_hits() const { return functional_.hits; }
+  std::size_t functional_builds() const { return functional_.builds; }
 
  private:
   GraphCache& graphs_;
   PartitionCache& partitions_;
-  std::size_t functional_hits_ = 0;
-  std::size_t functional_misses_ = 0;
+  MemoStats functional_;
 };
 
 }  // namespace hyve::exp

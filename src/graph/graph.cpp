@@ -12,16 +12,9 @@
 
 namespace hyve {
 
-// Per-graph memo of derived immutable images, shared by copies of the
-// graph: hashed_remap results (a handful of seeds covers every realistic
-// workload — configs almost always share one balance seed, so a tiny LRU
-// bounds the footprint) and the structure-of-arrays edge columns.
-struct Graph::RemapMemo {
-  static constexpr std::size_t kMaxSeeds = 4;
-
+// edge_columns_shared()'s once-cell, shared by copies of the graph.
+struct Graph::ColumnsCell {
   std::mutex mu;
-  // Most recently used at the back.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const Graph>>> entries;
   std::shared_ptr<const EdgeColumns> columns;
 };
 
@@ -67,50 +60,24 @@ Graph Graph::hashed_remap(std::uint64_t seed) const {
 }
 
 namespace {
-// The memo is created lazily on a const graph; a process-wide mutex
+// The cell is created lazily on a const graph; a process-wide mutex
 // guards the (rare) creation so concurrent first calls don't race.
-std::mutex memo_create_mu;
+std::mutex cell_create_mu;
 }  // namespace
 
-std::shared_ptr<const Graph> Graph::hashed_remap_shared(
-    std::uint64_t seed) const {
-  std::shared_ptr<RemapMemo> memo;
-  {
-    const std::lock_guard<std::mutex> lock(memo_create_mu);
-    if (remap_memo_ == nullptr) remap_memo_ = std::make_shared<RemapMemo>();
-    memo = remap_memo_;
-  }
-  const std::lock_guard<std::mutex> lock(memo->mu);
-  for (auto it = memo->entries.begin(); it != memo->entries.end(); ++it) {
-    if (it->first == seed) {
-      auto hit = *it;
-      memo->entries.erase(it);
-      memo->entries.push_back(hit);
-      return hit.second;
-    }
-  }
-  // Build under the memo lock: concurrent same-seed callers then share
-  // one build instead of duplicating the O(V + E) remap.
-  auto image = std::make_shared<const Graph>(hashed_remap(seed));
-  if (memo->entries.size() >= RemapMemo::kMaxSeeds)
-    memo->entries.erase(memo->entries.begin());
-  memo->entries.emplace_back(seed, image);
-  return image;
-}
-
 std::shared_ptr<const EdgeColumns> Graph::edge_columns_shared() const {
-  std::shared_ptr<RemapMemo> memo;
+  std::shared_ptr<ColumnsCell> cell;
   {
-    const std::lock_guard<std::mutex> lock(memo_create_mu);
-    if (remap_memo_ == nullptr) remap_memo_ = std::make_shared<RemapMemo>();
-    memo = remap_memo_;
+    const std::lock_guard<std::mutex> lock(cell_create_mu);
+    if (columns_ == nullptr) columns_ = std::make_shared<ColumnsCell>();
+    cell = columns_;
   }
-  // Build under the memo lock so concurrent first callers share one
-  // O(E) transpose (same policy as the remap images above).
-  const std::lock_guard<std::mutex> lock(memo->mu);
-  if (memo->columns == nullptr)
-    memo->columns = std::make_shared<const EdgeColumns>(std::span(edges_));
-  return memo->columns;
+  // Build under the cell lock so concurrent first callers share one
+  // O(E) transpose.
+  const std::lock_guard<std::mutex> lock(cell->mu);
+  if (cell->columns == nullptr)
+    cell->columns = std::make_shared<const EdgeColumns>(std::span(edges_));
+  return cell->columns;
 }
 
 Csr Csr::from_graph(const Graph& g) {

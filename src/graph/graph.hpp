@@ -63,28 +63,20 @@ class Graph {
   // interval populations before interval-block partitioning.
   Graph hashed_remap(std::uint64_t seed) const;
 
-  // As hashed_remap(), but memoized on this graph: repeated calls with
-  // the same seed (sweeps over memory configs rebuild the balanced
-  // layout per run otherwise) share one immutable image. Copies of this
-  // graph share the memo; a small per-graph LRU bounds it to a handful
-  // of seeds. Thread-safe.
-  std::shared_ptr<const Graph> hashed_remap_shared(std::uint64_t seed) const;
-
   // Structure-of-arrays image of edges() (edge_block_soa.hpp), built
-  // lazily on first use and memoized like the remap images: copies of
-  // this graph share one transpose. The schedule-less run_functional
-  // path streams it; scheduled runs use Partitioning::edge_columns()
-  // instead. Thread-safe.
+  // lazily on first use: copies of this graph share one transpose. The
+  // schedule-less run_functional path streams it; scheduled runs use
+  // Partitioning::edge_columns() instead. Thread-safe.
   std::shared_ptr<const EdgeColumns> edge_columns_shared() const;
 
  private:
-  struct RemapMemo;
+  struct ColumnsCell;
 
   VertexId num_vertices_ = 0;
   std::vector<Edge> edges_;
   // Lazily created, shared across copies; never affects graph equality
   // or semantics (the graph itself stays immutable).
-  mutable std::shared_ptr<RemapMemo> remap_memo_;
+  mutable std::shared_ptr<ColumnsCell> columns_;
 };
 
 // Compressed sparse row view (by source vertex), built on demand.

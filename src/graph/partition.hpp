@@ -177,7 +177,8 @@ class Partitioning {
   const SourceBlockIndex& source_block_index() const;
 
   // Bytes of the lazily built SoA/index images currently resident (0
-  // before first use) — PartitionCache adds this to its accounting.
+  // before first use). PartitionCache does not count them: its budget is
+  // an entry cap.
   std::size_t lazy_bytes() const;
 
  private:

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -112,7 +113,7 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
 
   // g1 + g2 + one hash-balanced image each (every config shares the
   // default seed).
-  EXPECT_EQ(graphs.loads(), 4u);
+  EXPECT_EQ(graphs.builds(), 4u);
   const std::size_t first = partitions.builds();
   EXPECT_GT(first, 0u);
   // All 12 cells share partitionings: at most one per (graph, config
@@ -121,7 +122,7 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
 
   // A second identical sweep hits every cache.
   engine.run(spec, options);
-  EXPECT_EQ(graphs.loads(), 4u);
+  EXPECT_EQ(graphs.builds(), 4u);
   EXPECT_EQ(partitions.builds(), first);
 }
 
@@ -138,12 +139,12 @@ TEST(SweepEngine, GraphCacheBuildsOnceUnderConcurrency) {
       for (int j = 0; j < 4; ++j) {
         const Graph& g = cache.base("shared");
         EXPECT_EQ(g.num_vertices(), 2000u);
-        cache.balanced("shared", 42);
+        cache.acquire_balanced("shared", 42);
       }
     });
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(builds.load(), 1);
-  EXPECT_EQ(cache.loads(), 2u);  // base + one balanced image
+  EXPECT_EQ(cache.builds(), 2u);  // base + one balanced image
 }
 
 TEST(SweepEngine, PropagatesCellFailures) {
@@ -310,23 +311,43 @@ TEST(CacheEviction, GraphCacheEvictsToByteBudgetAndRebuilds) {
   EXPECT_EQ(cache.byte_budget(), 1u);
 
   const auto ga = cache.acquire("a");
-  EXPECT_EQ(cache.loads(), 1u);
+  EXPECT_EQ(cache.builds(), 1u);
   // "a" is over budget but never evicted on its own behalf (the entry
   // just built is always kept).
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_GT(cache.resident_bytes(), 0u);
 
   const auto gb = cache.acquire("b");
-  EXPECT_EQ(cache.loads(), 2u);
+  EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   // The held pointer outlives the eviction.
   EXPECT_EQ(ga->num_edges(), 40000u);
 
   // Re-acquiring the evicted key rebuilds deterministically.
   const auto ga2 = cache.acquire("a");
-  EXPECT_EQ(cache.loads(), 3u);
+  EXPECT_EQ(cache.builds(), 3u);
   EXPECT_NE(ga2.get(), ga.get());
   EXPECT_EQ(ga2->num_edges(), ga->num_edges());
+}
+
+TEST(CacheEviction, EvictedBalancedImageIsFreed) {
+  exp::GraphCache cache;
+  cache.add("base", generate_rmat(1000, 20000, {}, 5));  // pinned
+  cache.set_byte_budget(1);
+
+  const std::weak_ptr<const Graph> first = cache.acquire_balanced("base", 1);
+  EXPECT_FALSE(first.expired());  // the cache still holds it
+  const std::size_t builds = cache.builds();
+
+  // A second image pushes the first out; with no other holder, the
+  // eviction really frees it.
+  cache.acquire_balanced("base", 2);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_TRUE(first.expired());
+
+  // And the next request for it rebuilds.
+  cache.acquire_balanced("base", 1);
+  EXPECT_EQ(cache.builds(), builds + 2);
 }
 
 TEST(CacheEviction, GraphCachePinnedAndDatasetEntriesAreExempt) {
@@ -449,11 +470,11 @@ std::string direct_output(const exp::SweepSpec& spec) {
 }
 
 // Runs `spec` on a fresh two-argument engine; returns its records and
-// the memo's hit/miss counts.
+// the memo's hit/build counts.
 struct MemoisedSweep {
   std::string output;
   std::size_t hits = 0;
-  std::size_t misses = 0;
+  std::size_t builds = 0;
 };
 
 MemoisedSweep memoised_sweep(const exp::SweepSpec& spec, int jobs) {
@@ -466,7 +487,7 @@ MemoisedSweep memoised_sweep(const exp::SweepSpec& spec, int jobs) {
   exp::SweepOptions options;
   options.jobs = jobs;
   engine.run(spec, options, &sink);
-  return {os.str(), engine.functional_hits(), engine.functional_misses()};
+  return {os.str(), engine.functional_hits(), engine.functional_builds()};
 }
 
 TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
@@ -483,9 +504,9 @@ TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
     // Byte-identical to uncached runs, serial or parallel: the memoised
     // functional outcome feeds the same accounting walk.
     EXPECT_EQ(sweep.output, direct) << "jobs " << jobs;
-    // One outcome per (algorithm, graph): 2 misses, 14 hits here.
-    EXPECT_EQ(sweep.misses, spec.algorithms.size() * spec.graphs.size());
-    EXPECT_EQ(sweep.hits, spec.size() - sweep.misses);
+    // One outcome per (algorithm, graph): 2 builds, 14 hits here.
+    EXPECT_EQ(sweep.builds, spec.algorithms.size() * spec.graphs.size());
+    EXPECT_EQ(sweep.hits, spec.size() - sweep.builds);
   }
 }
 
@@ -528,7 +549,7 @@ TEST(FunctionalCache, EngineMemoisesFig16GridAcrossPartitioners) {
   for (const int jobs : {1, 4}) {
     const MemoisedSweep sweep = memoised_sweep(spec, jobs);
     EXPECT_EQ(sweep.output, direct) << "jobs " << jobs;
-    EXPECT_EQ(sweep.misses, keys.size()) << "jobs " << jobs;
+    EXPECT_EQ(sweep.builds, keys.size()) << "jobs " << jobs;
     EXPECT_EQ(sweep.hits, spec.size() - keys.size()) << "jobs " << jobs;
   }
 }
@@ -547,7 +568,7 @@ TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
                   nullptr, 1, &functional);
   exp::run_cached(graphs, partitions, frontier, Algorithm::kBfs, "g1",
                   nullptr, 1, &functional);
-  EXPECT_EQ(functional.misses(), 2u);
+  EXPECT_EQ(functional.builds(), 2u);
   EXPECT_EQ(functional.hits(), 0u);
   // Replays are hits, and reports stay equal to direct runs.
   const RunReport cached = exp::run_cached(graphs, partitions, frontier,
@@ -587,9 +608,9 @@ TEST(FunctionalCache, ConcurrentAcquireBuildsEachKeyOnce) {
     });
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(builds.load(), 2);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.hits(), 8u * 16u - 2u);
-  EXPECT_GT(cache.resident_bytes(), 0u);
+  EXPECT_GT(cache.resident(), 0u);
 }
 
 TEST(ParseHelpers, ConfigLabelRoundTrip) {

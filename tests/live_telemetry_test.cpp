@@ -1,8 +1,8 @@
 // Live telemetry (src/obs/live): --live-status parsing, snapshot schema
 // round-trips, the stall watchdog, the byte-identical --jobs guarantee
 // with live telemetry enabled, and the SIGTERM flight-record path driven
-// end-to-end through a real bench binary. Runs under TSan in CI via the
-// "sweep-engine" ctest label.
+// end-to-end through a real bench binary and hyve_experiments. Runs
+// under TSan in CI via the "sweep-engine" ctest label.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -250,28 +250,30 @@ TEST(RegistrySchema, ListsEveryInstrumentWithItsKind) {
   EXPECT_EQ(kind_of("schema_test.histogram"), "histogram");
 }
 
-#ifdef HYVE_BENCH_BIN
-// Drives the real bench binary: SIGTERM mid-sweep must exit with the
-// flight-record code and leave a parseable truncated trace, a partial
-// but valid --json report, and a final "interrupted" status snapshot.
-TEST_F(LiveStatusFile, SigtermFlightRecordSavesPartialOutputs) {
-  const std::string trace = (dir_ / "trace.json").string();
-  const std::string report = (dir_ / "report.json").string();
-  const std::string live_spec = status_ + ",30";
-
+#if defined(HYVE_BENCH_BIN) && defined(HYVE_EXPERIMENTS_BIN)
+// Starts `args` (args[0] is the binary) with stdout sent to
+// `stdout_path`, waits until its status file reports a finished cell,
+// then SIGTERMs it and reaps its exit code. Skips the test when the run
+// completes before the signal can land.
+void interrupt_mid_run(const std::vector<std::string>& args,
+                       const std::string& status,
+                       const std::string& stdout_path, int* exit_code) {
+  // Everything the child touches is built before fork(): it may only
+  // exec.
+  std::vector<char*> argv;
+  for (const std::string& arg : args)
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Keep the bench's progress chatter out of the test log.
-    std::freopen("/dev/null", "w", stdout);
+    std::freopen(stdout_path.c_str(), "w", stdout);
     std::freopen("/dev/null", "w", stderr);
-    ::execl(HYVE_BENCH_BIN, HYVE_BENCH_BIN, "--jobs", "2", "--live-status",
-            live_spec.c_str(), "--json", report.c_str(), "--trace",
-            trace.c_str(), static_cast<char*>(nullptr));
+    ::execv(argv[0], argv.data());
     ::_exit(127);  // exec failed
   }
-  // Wait until at least one cell has finished so the partial report is
-  // non-empty, then interrupt.
+  // Wait until at least one cell has finished so the partial outputs
+  // are non-empty, then interrupt.
   bool saw_progress = false;
   for (int i = 0; i < 600 && !saw_progress; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -279,23 +281,34 @@ TEST_F(LiveStatusFile, SigtermFlightRecordSavesPartialOutputs) {
     if (::waitpid(child, &wstatus, WNOHANG) == child) {
       // The full grid finished before any poll fired — can't exercise
       // the interrupt path on this machine.
-      GTEST_SKIP() << "bench finished before SIGTERM could be delivered";
+      GTEST_SKIP() << args[0] << " finished before SIGTERM could be sent";
     }
-    const std::string text = slurp(status_);
+    const std::string text = slurp(status);
     if (text.empty()) continue;
     const auto fields = parse_flat_json(text);
     const auto done = fields.find("progress.done");
     if (done != fields.end() && done->second != "0") saw_progress = true;
   }
-  ASSERT_TRUE(saw_progress) << "bench made no progress within 30 s";
+  ASSERT_TRUE(saw_progress) << args[0] << " made no progress within 30 s";
 
   ASSERT_EQ(::kill(child, SIGTERM), 0);
   int wstatus = 0;
   ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
   ASSERT_TRUE(WIFEXITED(wstatus)) << "child did not exit cleanly";
   if (WEXITSTATUS(wstatus) == 0)
-    GTEST_SKIP() << "bench completed before the signal landed";
-  EXPECT_EQ(WEXITSTATUS(wstatus), obs::kFlightRecordExitCode);
+    GTEST_SKIP() << args[0] << " completed before the signal landed";
+  *exit_code = WEXITSTATUS(wstatus);
+}
+
+TEST_F(LiveStatusFile, SigtermFlightRecordSavesPartialOutputs) {
+  const std::string trace = (dir_ / "trace.json").string();
+  const std::string report = (dir_ / "report.json").string();
+  int exit_code = 0;
+  interrupt_mid_run({HYVE_BENCH_BIN, "--jobs", "2", "--live-status",
+                     status_ + ",30", "--json", report, "--trace", trace},
+                    status_, "/dev/null", &exit_code);
+  if (HasFatalFailure() || IsSkipped()) return;
+  EXPECT_EQ(exit_code, obs::kFlightRecordExitCode);
 
   // Truncated trace: valid JSON with the truncation marker.
   const auto trace_fields = parse_flat_json(slurp(trace));
@@ -312,7 +325,35 @@ TEST_F(LiveStatusFile, SigtermFlightRecordSavesPartialOutputs) {
   const auto status_fields = parse_flat_json(slurp(status_));
   EXPECT_EQ(status_fields.at("state"), "interrupted");
 }
-#endif  // HYVE_BENCH_BIN
+
+// The same flight path through hyve_experiments, whose own partial
+// output is the JSONL already written to stdout.
+TEST_F(LiveStatusFile, SigtermFlightRecordKeepsSweepRecords) {
+  const std::string trace = (dir_ / "trace.json").string();
+  const std::string records = (dir_ / "records.jsonl").string();
+  int exit_code = 0;
+  interrupt_mid_run({HYVE_EXPERIMENTS_BIN, "--jobs", "1", "--trace", trace,
+                     "--live-status", status_ + ",30"},
+                    status_, records, &exit_code);
+  if (HasFatalFailure() || IsSkipped()) return;
+  EXPECT_EQ(exit_code, obs::kFlightRecordExitCode);
+
+  EXPECT_EQ(parse_flat_json(slurp(trace)).at("truncated"), "true");
+  EXPECT_EQ(parse_flat_json(slurp(status_)).at("state"), "interrupted");
+
+  // Every finished record reached the file intact; a signal may cut
+  // the last line short, so only newline-terminated lines count.
+  const std::string text = slurp(records);
+  std::size_t complete = 0;
+  for (std::size_t begin = 0, end; (end = text.find('\n', begin)) !=
+                                   std::string::npos;
+       begin = end + 1) {
+    EXPECT_NO_THROW(run_report_from_json(text.substr(begin, end - begin)));
+    ++complete;
+  }
+  EXPECT_GT(complete, 0u);
+}
+#endif  // HYVE_BENCH_BIN && HYVE_EXPERIMENTS_BIN
 
 }  // namespace
 }  // namespace hyve

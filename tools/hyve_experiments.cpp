@@ -15,19 +15,12 @@
 //
 // Output is deterministic and order-stable for any --jobs value.
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
 
-#include "algos/frontier.hpp"
-#include "core/bench_json.hpp"
 #include "core/report_io.hpp"
+#include "exp/run_session.hpp"
 #include "exp/sweep.hpp"
 #include "graph/datasets.hpp"
-#include "obs/host_profiler.hpp"
-#include "obs/live.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -38,11 +31,7 @@ int main(int argc, char** argv) {
   exp::SweepOptions options;
   options.jobs = 1;  // historical default: serial
   auto format = exp::ResultSink::Format::kJsonl;
-  bool metrics = false;
   bool cache_stats = false;
-  bool host_profile = false;
-  std::string trace_path;
-  std::optional<obs::LiveStatusOptions> live_opts;
 
   cli::ArgParser parser("hyve_experiments",
                         "run a (configs x algorithms x datasets) grid and "
@@ -88,10 +77,6 @@ int main(int argc, char** argv) {
         }
       });
   parser.flag("--frontier", "add the block-skipping variant", &add_frontier);
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(identical output, more host work)",
-              [&] { set_pattern_reuse_enabled(false); });
   parser.option("--jobs", "N",
                 "worker threads (0 = hardware concurrency; default 1)",
                 [&](const std::string& v) {
@@ -107,27 +92,7 @@ int main(int argc, char** argv) {
   parser.flag("--cache-stats",
               "print graph/partition/functional cache statistics to stderr",
               &cache_stats);
-  parser.flag("--metrics",
-              "dump the metrics registry to stderr as sorted key=value "
-              "lines",
-              &metrics);
-  parser.flag("--host-profile",
-              "profile the host process: wall-clock spans, RSS sampling "
-              "and stage rates as host.* metrics (and a wall-clock trace "
-              "track with --trace)",
-              &host_profile);
-  parser.option("--trace", "PATH",
-                "write a Chrome trace-event JSON of the sweep to PATH "
-                "(one pid per cell)",
-                [&](const std::string& v) { trace_path = v; });
-  parser.option("--live-status", "PATH[,interval_ms[,stall_ms]]",
-                "write periodic JSON status snapshots (progress, ETA, "
-                "worker heartbeats, hot metrics) to PATH for hyve_top",
-                [&](const std::string& v) {
-                  live_opts = obs::parse_live_status(v);
-                  if (!live_opts)
-                    parser.fail("bad --live-status spec " + v);
-                });
+  exp::RunSession session(parser, "hyve_experiments");
   parser.parse(argc, argv);
 
   if (add_frontier) {
@@ -138,62 +103,20 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (metrics || host_profile || live_opts) obs::set_enabled(true);
-    // shared_ptr so the flight recorder can finalize the trace from its
-    // own thread even while this scope is mid-sweep.
-    std::shared_ptr<obs::Trace> trace;
-    if (!trace_path.empty()) {
-      trace = std::make_shared<obs::Trace>();
-      add_attribution_metadata(*trace, argc, argv);
-    }
-    options.trace = trace.get();
-    if (host_profile) obs::host_profiler().start(options.trace);
-    if (live_opts) {
-      live_opts->bench = "hyve_experiments";
-      obs::live_telemetry().start(*live_opts);
-    }
-    if (trace || live_opts) {
-      const bool profiling = host_profile;
-      obs::install_flight_recorder([trace, trace_path,
-                                    profiling](int signum) {
-        if (obs::live_telemetry().enabled())
-          obs::live_telemetry().stop("interrupted");
-        if (profiling) obs::host_profiler().stop();
-        // Records already emitted to stdout form a valid JSONL/CSV
-        // prefix; flush so the pipe reader sees every finished cell.
-        std::cout.flush();
-        if (trace && !trace_path.empty()) {
-          trace->write_file_atomic(trace_path, /*truncated=*/true);
-          std::cerr << "flight record: wrote truncated trace to "
-                    << trace_path << "\n";
-        }
-        if (obs::enabled()) obs::registry().dump(std::cerr);
-        std::cerr << "flight record complete (signal " << signum << ")\n";
-      });
-    }
-
+    // The flight recorder flushes stdout before it exits, so an
+    // interrupted sweep leaves every finished record on the pipe.
+    session.start(argc, argv);
+    options.trace = session.trace();
     exp::GraphCache graphs;
     exp::PartitionCache partitions;
     exp::SweepEngine engine(graphs, partitions);
     exp::ResultSink sink(std::cout, format);
     engine.run(spec, options, &sink);
-
-    if (obs::live_telemetry().enabled()) obs::live_telemetry().stop("done");
-    if (host_profile) obs::host_profiler().stop();
-    if (trace) trace->write_file(trace_path);
-    if (cache_stats) {
-      std::cerr << "graph cache: loads=" << graphs.loads()
-                << " evictions=" << graphs.evictions() << "\n"
-                << "partition cache: builds=" << partitions.builds()
-                << " evictions=" << partitions.evictions() << "\n";
-      for (const auto& [strategy, stats] : partitions.strategy_stats())
-        std::cerr << "partition cache[" << strategy
-                  << "]: hits=" << stats.hits << " builds=" << stats.builds
-                  << " evictions=" << stats.evictions << "\n";
-      std::cerr << "functional cache: hits=" << engine.functional_hits()
-                << " misses=" << engine.functional_misses() << "\n";
-    }
-    if (metrics) obs::registry().dump(std::cerr);
+    if (cache_stats)
+      exp::print_cache_stats(
+          std::cerr, graphs, partitions,
+          {engine.functional_hits(), engine.functional_builds()});
+    session.finish();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -19,15 +19,14 @@
 
 #include <unistd.h>
 
-#include "algos/frontier.hpp"
 #include "baselines/cpu.hpp"
 #include "baselines/graphr.hpp"
-#include "core/bench_json.hpp"
 #include "core/machine.hpp"
 #include "core/report_io.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/requests.hpp"
 #include "exp/cache.hpp"
+#include "exp/run_session.hpp"
 #include "exp/sweep.hpp"
 #include "graph/blocked_format.hpp"
 #include "graph/blocked_reader.hpp"
@@ -38,7 +37,6 @@
 #include "obs/host_profiler.hpp"
 #include "obs/live.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "sim/dram_timing.hpp"
 #include "sim/memory_controller.hpp"
 #include "sim/reram_timing.hpp"
@@ -217,11 +215,7 @@ int main(int argc, char** argv) {
   bool compare = false;
   bool area = false;
   bool csv = false;
-  bool metrics = false;
   bool list_metrics = false;
-  bool host_profile = false;
-  std::string trace_path;
-  std::optional<obs::LiveStatusOptions> live_opts;
 
   cli::ArgParser parser(
       "hyve_sim",
@@ -310,55 +304,25 @@ int main(int argc, char** argv) {
               [&] { config.data_sharing = false; });
   parser.flag("--no-power-gating", "disable bank-level power gating",
               [&] { config.power_gating = false; });
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(results are identical either way; this re-streams every "
-              "active block)",
-              [&] { set_pattern_reuse_enabled(false); });
   parser.flag("--compare", "also run GraphR and the CPU baselines", &compare);
   parser.flag("--area", "print the silicon area estimate", &area);
   parser.flag("--csv", "machine-readable breakdown", &csv);
-  parser.flag("--metrics",
-              "dump the metrics registry to stderr as sorted key=value "
-              "lines",
-              &metrics);
   parser.flag("--list-metrics",
               "exercise every instrumented subsystem on tiny inputs and "
               "print the full metric name/type table (docs/METRICS.md), "
               "then exit",
               &list_metrics);
-  parser.flag("--host-profile",
-              "profile the host process: wall-clock spans, RSS sampling "
-              "and stage rates as host.* metrics (and a wall-clock trace "
-              "track with --trace)",
-              &host_profile);
-  parser.option("--trace", "PATH",
-                "write a Chrome trace-event JSON (chrome://tracing, "
-                "Perfetto) of the run to PATH",
-                [&](const std::string& v) { trace_path = v; });
-  parser.option("--live-status", "PATH[,interval_ms[,stall_ms]]",
-                "publish a live status JSON snapshot (progress, "
-                "heartbeats, metrics, RSS) to PATH on the interval "
-                "(default 500 ms); watch with hyve_top",
-                [&](const std::string& v) {
-                  const auto live = obs::parse_live_status(v);
-                  if (!live) parser.fail("bad --live-status spec " + v);
-                  live_opts = *live;
-                });
+  exp::RunSession session(parser, "hyve_sim");
 
   try {
     parser.parse(argc, argv);
 
     if (list_metrics) return run_metrics_census();
 
-    // Enable telemetry before the graph loads so the sim.ooc.* window
-    // counters cover the streaming load itself.
-    if (metrics || host_profile || live_opts) obs::set_enabled(true);
-    if (live_opts) {
-      live_opts->bench = "hyve_sim";
-      obs::live_telemetry().start(*live_opts);
-      obs::live_telemetry().add_total_cells(1);
-    }
+    // Start before the graph loads so the sim.ooc.* window counters
+    // cover the streaming load itself.
+    session.start(argc, argv);
+    obs::live_telemetry().add_total_cells(1);
 
     if (!graph_path.empty()) {
       if (graph) parser.fail("choose one of --dataset/--graph/--rmat");
@@ -388,41 +352,12 @@ int main(int argc, char** argv) {
       parser.fail("no input graph (--dataset/--graph/--rmat)");
 
     if (partitioner) config.set_partitioner(*partitioner);
-    std::shared_ptr<obs::Trace> trace;
-    if (!trace_path.empty()) {
-      trace = std::make_shared<obs::Trace>();
-      add_attribution_metadata(*trace, argc, argv);
-    }
-    if (host_profile) obs::host_profiler().start(trace.get());
-
-    // Interrupting a single long run still saves a loadable truncated
-    // trace and a final "interrupted" status snapshot.
-    if (trace || live_opts) {
-      const bool profiling = host_profile;
-      const std::string saved_trace_path = trace_path;
-      obs::install_flight_recorder(
-          [trace, saved_trace_path, profiling](int) {
-            if (obs::live_telemetry().enabled())
-              obs::live_telemetry().stop("interrupted");
-            if (profiling) obs::host_profiler().stop();
-            if (trace)
-              trace->write_file_atomic(saved_trace_path,
-                                       /*truncated=*/true);
-            if (obs::enabled()) obs::registry().dump(std::cerr);
-          });
-    }
-
     const HyveMachine machine(config);
-    const RunReport r = machine.run(*graph, algo, trace.get());
+    const RunReport r = machine.run(*graph, algo, session.trace());
     // Same guarantee as the sweep engine's ResultSink: hyve_sim can never
     // emit a report the downstream tooling cannot parse back.
     validate_report_round_trip(r);
     obs::live_telemetry().cell_done();
-
-    // Stop before the write so host.wall_us and the final RSS sample
-    // land in the trace and the --metrics dump.
-    if (host_profile) obs::host_profiler().stop();
-    if (trace) trace->write_file(trace_path);
 
     if (csv) {
       Table t({"graph", "algo", "config", "P", "iterations", "time_ns",
@@ -489,8 +424,7 @@ int main(int argc, char** argv) {
                 << Table::num(100.0 * a.power_gate_overhead(), 2) << "%\n";
     }
 
-    if (metrics) obs::registry().dump(std::cerr);
-    if (obs::live_telemetry().enabled()) obs::live_telemetry().stop("done");
+    session.finish();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
