@@ -36,6 +36,13 @@ grep -q '"ph"' "$obs_dir/trace.json" ||
   { echo "obs-smoke: trace has no events" >&2; exit 1; }
 grep -q '"traceEvents"' "$obs_dir/trace.json" ||
   { echo "obs-smoke: not a trace-event document" >&2; exit 1; }
+# The graph is generated after the host profiler starts, so its span
+# lands in the profile.
+./build/tools/hyve_sim --rmat 5000x30000 --host-profile --metrics \
+  >/dev/null 2>"$obs_dir/host_metrics.txt"
+grep -q '^host\.span\.rmat\.generate\.count=1$' "$obs_dir/host_metrics.txt" ||
+  { echo "obs-smoke: --rmat generation escaped the host profiler" >&2
+    exit 1; }
 echo "obs-smoke: OK"
 
 # bench-json: a smoke bench must emit a report hyve_report accepts, the

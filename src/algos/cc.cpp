@@ -20,24 +20,8 @@ bool CcProgram::process_edge(const Edge& e) {
   return false;
 }
 
-std::uint64_t CcProgram::process_block(std::span<const Edge> edges,
+std::uint64_t CcProgram::process_block(const EdgeBlockSoA& block,
                                        std::vector<char>* changed) {
-  debug_check_changed_cover(changed, edges);
-  VertexId* const label = label_.data();
-  std::uint64_t writes = 0;
-  for (const Edge& e : edges) {
-    if (label[e.src] < label[e.dst]) {
-      label[e.dst] = label[e.src];
-      ++writes;
-      if (changed != nullptr) (*changed)[e.dst] = 1;
-    }
-  }
-  changed_ |= writes > 0;
-  return writes;
-}
-
-std::uint64_t CcProgram::process_block_soa(const EdgeBlockSoA& block,
-                                           std::vector<char>* changed) {
   debug_check_changed_cover(changed, block);
   VertexId* const label = label_.data();
   const VertexId* const src = block.src;

@@ -170,7 +170,7 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
       std::uint64_t writes_into_y = 0;
       for (std::uint32_t x = 0; x < p; ++x) {
         if (!interval_active[x]) continue;  // block skipped
-        const EdgeBlockSoA block = schedule.block_soa(x, y);
+        const EdgeBlockSoA block = schedule.block(x, y);
         if (block.empty()) continue;
         const std::uint64_t flat = static_cast<std::uint64_t>(x) * p + y;
         // A block is replayed only if no source changed since it last
@@ -190,7 +190,7 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
           trace.edges_skipped += block.size();
         } else {
           const std::uint64_t writes =
-              program.process_block_soa(block, changed_sink);
+              program.process_block(block, changed_sink);
           trace.result.destination_writes += writes;
           if (tracks_activity && writes > 0) next_active[y] = 1;
           if (reuse) block_dirty[flat] = 0;

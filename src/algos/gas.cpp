@@ -16,9 +16,8 @@ GasProgram<std::uint32_t> make_reachability_program(VertexId root) {
     if (src != 0 && dst == 0) return 1u;
     return std::nullopt;
   };
-  spec.scatter_block_soa = [](const EdgeBlockSoA& block,
-                              std::uint32_t* values,
-                              std::vector<char>* changed) -> std::uint64_t {
+  spec.scatter_block = [](const EdgeBlockSoA& block, std::uint32_t* values,
+                          std::vector<char>* changed) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
     std::uint64_t writes = 0;
@@ -51,10 +50,9 @@ GasProgram<std::uint32_t> make_widest_path_program(
     if (through > dst) return through;
     return std::nullopt;
   };
-  spec.scatter_block_soa = [max_capacity](
-                               const EdgeBlockSoA& block,
-                               std::uint32_t* values,
-                               std::vector<char>* changed) -> std::uint64_t {
+  spec.scatter_block = [max_capacity](
+                           const EdgeBlockSoA& block, std::uint32_t* values,
+                           std::vector<char>* changed) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
     const std::uint64_t* const hash = block.weight_hash;

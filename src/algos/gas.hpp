@@ -45,7 +45,7 @@ class GasProgram final : public VertexProgram {
     // Optional end-of-iteration apply over every vertex (marks the
     // program as having an apply phase, like PageRank).
     std::function<Value(VertexId, const Value&)> apply;
-    // Optional fused SoA block kernel: must be observably identical to
+    // Optional fused block kernel: must be observably identical to
     // applying `scatter` edge by edge in block order (same writes, same
     // write count, same changed-marking). Ready-made programs install
     // one so the hot path pays one call per block instead of one
@@ -53,7 +53,7 @@ class GasProgram final : public VertexProgram {
     // `scatter` itself.
     std::function<std::uint64_t(const EdgeBlockSoA& block, Value* values,
                                 std::vector<char>* changed)>
-        scatter_block_soa;
+        scatter_block;
     // Stop after this many iterations even if still changing.
     std::uint32_t max_iterations = 1000;
   };
@@ -87,35 +87,19 @@ class GasProgram final : public VertexProgram {
     return true;
   }
 
-  std::uint64_t process_block(std::span<const Edge> edges,
+  std::uint64_t process_block(const EdgeBlockSoA& block,
                               std::vector<char>* changed) override {
-    debug_check_changed_cover(changed, edges);
-    Value* const values = values_.data();
-    std::uint64_t writes = 0;
-    for (const Edge& e : edges) {
-      const std::optional<Value> next =
-          spec_.scatter(e, values[e.src], values[e.dst]);
-      if (!next.has_value()) continue;
-      values[e.dst] = *next;
-      ++writes;
-      if (changed != nullptr) (*changed)[e.dst] = 1;
-    }
-    changed_ |= writes > 0;
-    return writes;
-  }
-
-  std::uint64_t process_block_soa(const EdgeBlockSoA& block,
-                                  std::vector<char>* changed) override {
     debug_check_changed_cover(changed, block);
-    if (spec_.scatter_block_soa) {
+    if (spec_.scatter_block) {
       const std::uint64_t writes =
-          spec_.scatter_block_soa(block, values_.data(), changed);
+          spec_.scatter_block(block, values_.data(), changed);
       changed_ |= writes > 0;
       return writes;
     }
-    // The scatter callable takes the AoS edge, so the SoA win here is
-    // the hoisted column streams, not a tighter inner body; user
-    // programs keep their exact per-edge semantics.
+    // The scatter callable takes an Edge, so the win here is the
+    // hoisted column streams and one virtual call per block, not a
+    // tighter inner body; user programs keep their exact per-edge
+    // semantics.
     Value* const values = values_.data();
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;

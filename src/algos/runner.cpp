@@ -53,11 +53,9 @@ FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
   program.init(graph);
   FunctionalResult result;
 
-  // Structure-of-arrays hot path: the schedule's columns are transposed
-  // lazily once and shared across every run of the same partitioning;
-  // the schedule-less path streams the graph's own memoized columns.
-  // Edge order matches the AoS layout exactly, so results are pinned
-  // identical to the pre-SoA runner.
+  // The schedule's columns are transposed lazily once and shared across
+  // every run of the same partitioning; the schedule-less path streams
+  // the graph's own memoized columns, in edge-list order.
   std::shared_ptr<const EdgeColumns> whole_graph;
   if (schedule == nullptr) whole_graph = graph.edge_columns_shared();
 
@@ -68,11 +66,10 @@ FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
       for (std::uint32_t y = 0; y < p; ++y) {
         for (std::uint32_t x = 0; x < p; ++x)
           result.destination_writes +=
-              program.process_block_soa(schedule->block_soa(x, y));
+              program.process_block(schedule->block(x, y));
       }
     } else {
-      result.destination_writes +=
-          program.process_block_soa(whole_graph->all());
+      result.destination_writes += program.process_block(whole_graph->all());
     }
     result.edges_traversed += graph.num_edges();
   };

@@ -31,25 +31,15 @@ bool SpmvProgram::process_edge(const Edge& e) {
   return true;
 }
 
-std::uint64_t SpmvProgram::process_block(std::span<const Edge> edges,
+std::uint64_t SpmvProgram::process_block(const EdgeBlockSoA& block,
                                          std::vector<char>* changed) {
-  debug_check_changed_cover(changed, edges);
-  double* const y = y_.data();
-  for (const Edge& e : edges) y[e.dst] += matrix_value(e) * input_value(e.src);
-  if (changed != nullptr)
-    for (const Edge& e : edges) (*changed)[e.dst] = 1;
-  return edges.size();
-}
-
-std::uint64_t SpmvProgram::process_block_soa(const EdgeBlockSoA& block,
-                                             std::vector<char>* changed) {
   debug_check_changed_cover(changed, block);
   double* const y = y_.data();
   const double* const x = x_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
   const std::uint64_t* const hash = block.weight_hash;
-  // Two per-edge hashes of the AoS kernel (matrix entry and input
+  // Two per-edge hashes of process_edge (matrix entry and input
   // value) become one modulo and one gather; the accumulation itself
   // stays sequential to preserve the reference's FP order exactly.
   for (std::size_t i = 0; i < block.count; ++i) {

@@ -19,10 +19,8 @@ class SpmvProgram final : public VertexProgram {
 
   void init(const Graph& graph) override;
   bool process_edge(const Edge& e) override;
-  std::uint64_t process_block(std::span<const Edge> edges,
+  std::uint64_t process_block(const EdgeBlockSoA& block,
                               std::vector<char>* changed) override;
-  std::uint64_t process_block_soa(const EdgeBlockSoA& block,
-                                  std::vector<char>* changed) override;
   bool end_iteration(std::uint32_t completed_iterations) override;
 
   // x[v] is a deterministic function of v so results are reproducible.

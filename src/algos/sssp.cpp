@@ -31,27 +31,8 @@ bool SsspProgram::process_edge(const Edge& e) {
   return false;
 }
 
-std::uint64_t SsspProgram::process_block(std::span<const Edge> edges,
+std::uint64_t SsspProgram::process_block(const EdgeBlockSoA& block,
                                          std::vector<char>* changed) {
-  debug_check_changed_cover(changed, edges);
-  std::uint64_t* const dist = dist_.data();
-  std::uint64_t writes = 0;
-  for (const Edge& e : edges) {
-    if (dist[e.src] == kUnreached) continue;
-    const std::uint64_t candidate =
-        dist[e.src] + Graph::edge_weight(e, max_weight_);
-    if (candidate < dist[e.dst]) {
-      dist[e.dst] = candidate;
-      ++writes;
-      if (changed != nullptr) (*changed)[e.dst] = 1;
-    }
-  }
-  changed_ |= writes > 0;
-  return writes;
-}
-
-std::uint64_t SsspProgram::process_block_soa(const EdgeBlockSoA& block,
-                                             std::vector<char>* changed) {
   debug_check_changed_cover(changed, block);
   std::uint64_t* const dist = dist_.data();
   const VertexId* const src = block.src;
@@ -59,9 +40,9 @@ std::uint64_t SsspProgram::process_block_soa(const EdgeBlockSoA& block,
   const std::uint64_t* const hash = block.weight_hash;
   const std::uint32_t max_weight = max_weight_;
   std::uint64_t writes = 0;
-  // The precomputed hash column replaces the per-edge SplitMix64
-  // avalanche of the AoS kernel with one modulo — the bulk of this
-  // kernel's SoA win. The relaxation stays sequential (in-pass
+  // The precomputed hash column replaces process_edge's per-edge
+  // SplitMix64 avalanche with one modulo — the bulk of this kernel's
+  // win. The relaxation stays sequential (in-pass
   // propagation), with a saturating branchless candidate: kUnreached
   // plus any weight wraps below kUnreached, so guard with a select
   // instead of the reference's early-out branch.

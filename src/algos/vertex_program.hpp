@@ -13,37 +13,21 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "graph/edge_block_soa.hpp"
+#include "graph/edge_columns.hpp"
 #include "graph/graph.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
 
-// Debug-build enforcement of the `changed` contract of process_block /
-// process_block_soa: the vector must be indexable by every destination
-// id of the block. The kernels index it unchecked on the hot path, so a
-// short vector would corrupt memory silently; debug builds (NDEBUG
-// undefined) scan the block up front and fail loudly instead. Release
-// builds compile these to nothing.
-inline void debug_check_changed_cover(const std::vector<char>* changed,
-                                      std::span<const Edge> edges) {
-#ifndef NDEBUG
-  if (changed == nullptr) return;
-  for (const Edge& e : edges)
-    HYVE_CHECK_MSG(e.dst < changed->size(),
-                   "changed vector of size " << changed->size()
-                                             << " cannot index destination "
-                                             << e.dst);
-#else
-  (void)changed;
-  (void)edges;
-#endif
-}
-
+// Debug-build enforcement of the `changed` contract of process_block:
+// the vector must be indexable by every destination id of the block.
+// The kernels index it unchecked on the hot path, so a short vector
+// would corrupt memory silently; debug builds (NDEBUG undefined) scan
+// the block up front and fail loudly instead. Release builds compile
+// this to nothing.
 inline void debug_check_changed_cover(const std::vector<char>* changed,
                                       const EdgeBlockSoA& block) {
 #ifndef NDEBUG
@@ -79,39 +63,18 @@ class VertexProgram {
   // Processes one edge; returns true iff the destination value changed.
   virtual bool process_edge(const Edge& e) = 0;
 
-  // Processes a contiguous block of edges; returns how many of them
-  // changed their destination. When `changed` is non-null it must be
-  // indexable by every destination id in `edges`; the entry of each
-  // changed destination is set to 1 (entries are never cleared — the
-  // frontier walk owns the reset). Concrete programs override this with
-  // a tight non-virtual loop — one virtual call per block instead of one
-  // per edge — and must stay result-equivalent to this per-edge
-  // reference, which the process_block equivalence tests pin for every
-  // algorithm.
-  virtual std::uint64_t process_block(std::span<const Edge> edges,
+  // Processes one interval block, handed as contiguous src[]/dst[]/
+  // weight-hash columns (graph/edge_columns.hpp), in block order;
+  // returns how many of its edges changed their destination. When
+  // `changed` is non-null it must be indexable by every destination id
+  // in the block; the entry of each changed destination is set to 1
+  // (entries are never cleared — the frontier walk owns the reset).
+  // Concrete programs override this with a tight non-virtual loop — one
+  // virtual call per block instead of one per edge — and must stay
+  // result-equivalent to this per-edge reference, which the
+  // process_block differential tests pin for every algorithm.
+  virtual std::uint64_t process_block(const EdgeBlockSoA& block,
                                       std::vector<char>* changed = nullptr) {
-    debug_check_changed_cover(changed, edges);
-    std::uint64_t writes = 0;
-    for (const Edge& e : edges) {
-      if (process_edge(e)) {
-        ++writes;
-        if (changed != nullptr) (*changed)[e.dst] = 1;
-      }
-    }
-    return writes;
-  }
-
-  // Structure-of-arrays variant of process_block: same edges, same
-  // sequential semantics, handed as contiguous src[]/dst[]/weight-hash
-  // columns (graph/edge_block_soa.hpp). Concrete programs override this
-  // with vectorization-friendly loops (hoisted column pointers,
-  // branchless candidates, precomputed weight hashes); the default
-  // reconstructs each edge and runs the pinned per-edge reference, so
-  // programs without an override stay exactly result-equivalent. The
-  // equivalence (results, write counts, changed bitmaps) is pinned per
-  // algorithm by the SoA kernel tests.
-  virtual std::uint64_t process_block_soa(const EdgeBlockSoA& block,
-                                          std::vector<char>* changed = nullptr) {
     debug_check_changed_cover(changed, block);
     std::uint64_t writes = 0;
     for (std::size_t i = 0; i < block.count; ++i) {

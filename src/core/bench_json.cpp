@@ -10,29 +10,10 @@
 #include "core/report_io.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace hyve {
 namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 using FieldMap = std::map<std::string, std::string>;
 
@@ -90,11 +71,11 @@ void write_ledger_cells(std::ostream& os, const EnergyLedger& ledger) {
     if (!first) os << ',';
     first = false;
     os << "{\"component\":";
-    write_escaped(os, component_name(key.component));
+    write_json_string(os, component_name(key.component));
     os << ",\"phase\":";
-    write_escaped(os, phase_name(key.phase));
+    write_json_string(os, phase_name(key.phase));
     os << ",\"unit\":";
-    write_escaped(os, key.unit);
+    write_json_string(os, key.unit);
     os << ",\"pj\":" << std::setprecision(12) << pj << '}';
   }
   os << ']';
@@ -166,12 +147,12 @@ std::string bench_report_to_json(const BenchReportDoc& doc) {
   }
   std::ostringstream os;
   os << "{\"schema\":";
-  write_escaped(os, kBenchReportSchemaName);
+  write_json_string(os, kBenchReportSchemaName);
   os << ",\"schema_version\":" << kBenchReportSchemaVersion;
   os << ",\"bench\":";
-  write_escaped(os, doc.bench);
+  write_json_string(os, doc.bench);
   os << ",\"git_rev\":";
-  write_escaped(os, doc.git_rev);
+  write_json_string(os, doc.git_rev);
   os << ",\"smoke\":" << (doc.smoke ? "true" : "false");
   if (doc.host.present) {
     // The one wall-clock-dependent object; a single "host":{...} group
@@ -184,14 +165,14 @@ std::string bench_report_to_json(const BenchReportDoc& doc) {
   os << ",\"datasets\":[";
   for (std::size_t i = 0; i < doc.datasets.size(); ++i) {
     if (i > 0) os << ',';
-    write_escaped(os, doc.datasets[i]);
+    write_json_string(os, doc.datasets[i]);
   }
   os << ']';
   os << ",\"runs\":[";
   for (std::size_t i = 0; i < doc.runs.size(); ++i) {
     if (i > 0) os << ',';
     os << "{\"graph\":";
-    write_escaped(os, doc.runs[i].graph_key);
+    write_json_string(os, doc.runs[i].graph_key);
     os << ",\"report\":";
     write_report_json(os, doc.runs[i].report);
     os << '}';
@@ -204,7 +185,7 @@ std::string bench_report_to_json(const BenchReportDoc& doc) {
   for (const auto& [name, value] : doc.metrics) {
     if (!first) os << ',';
     first = false;
-    write_escaped(os, name);
+    write_json_string(os, name);
     os << ':' << value;
   }
   os << "}}";

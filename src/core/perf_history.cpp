@@ -10,31 +10,12 @@
 
 #include "core/bench_json.hpp"
 #include "core/report_io.hpp"
+#include "util/json.hpp"
 
 namespace hyve {
 namespace {
 
 namespace fs = std::filesystem;
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 using FieldMap = std::map<std::string, std::string>;
 
@@ -139,23 +120,23 @@ PerfRecord perf_record_from_report(const BenchReportDoc& doc) {
 std::string perf_record_to_json(const PerfRecord& record) {
   std::ostringstream os;
   os << "{\"bench\":";
-  write_escaped(os, record.bench);
+  write_json_string(os, record.bench);
   os << ",\"cells\":" << record.cells;
   os << ",\"cpu_model\":";
-  write_escaped(os, record.cpu_model);
+  write_json_string(os, record.cpu_model);
   os << ",\"cpus\":" << record.cpus;
   os << ",\"energy_pj\":" << std::setprecision(12) << record.energy_pj;
   os << ",\"exec_time_ns\":" << record.exec_time_ns;
   os << ",\"git_rev\":";
-  write_escaped(os, record.git_rev);
+  write_json_string(os, record.git_rev);
   os << ",\"hostname\":";
-  write_escaped(os, record.hostname);
+  write_json_string(os, record.hostname);
   os << ",\"jobs\":" << record.jobs;
   os << ",\"max_rss_kb\":" << record.max_rss_kb;
   os << ",\"recorded_at\":";
-  write_escaped(os, record.recorded_at);
+  write_json_string(os, record.recorded_at);
   os << ",\"schema\":";
-  write_escaped(os, kPerfHistorySchemaName);
+  write_json_string(os, kPerfHistorySchemaName);
   os << ",\"schema_version\":" << kPerfHistorySchemaVersion;
   os << ",\"smoke\":" << (record.smoke ? "true" : "false");
   os << ",\"wall_ms\":" << record.wall_ms;

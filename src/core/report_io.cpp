@@ -11,29 +11,10 @@
 #include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace hyve {
 namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_number(std::ostream& os, double v) {
   HYVE_CHECK_MSG(std::isfinite(v), "non-finite value in report");
@@ -45,14 +26,14 @@ void write_number(std::ostream& os, double v) {
 void write_report_json(std::ostream& os, const RunReport& r) {
   os << '{';
   os << "\"config\":";
-  write_escaped(os, r.config_label);
+  write_json_string(os, r.config_label);
   os << ",\"algorithm\":";
-  write_escaped(os, r.algorithm);
+  write_json_string(os, r.algorithm);
   os << ",\"num_intervals\":" << r.num_intervals;
   os << ",\"iterations\":" << r.iterations;
   os << ",\"edges_traversed\":" << r.edges_traversed;
   os << ",\"partitioner\":";
-  write_escaped(os, r.partitioner);
+  write_json_string(os, r.partitioner);
   os << ",\"partition\":{\"n_avg\":";
   write_number(os, r.partition.n_avg);
   os << ",\"replication_factor\":";
@@ -79,7 +60,7 @@ void write_report_json(std::ostream& os, const RunReport& r) {
        i < static_cast<std::size_t>(EnergyComponent::kCount); ++i) {
     const auto c = static_cast<EnergyComponent>(i);
     if (i > 0) os << ',';
-    write_escaped(os, component_name(c));
+    write_json_string(os, component_name(c));
     os << ':';
     write_number(os, r.energy[c]);
   }
@@ -88,7 +69,7 @@ void write_report_json(std::ostream& os, const RunReport& r) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(Phase::kCount); ++i) {
     const auto p = static_cast<Phase>(i);
     if (i > 0) os << ',';
-    write_escaped(os, phase_name(p));
+    write_json_string(os, phase_name(p));
     os << ':';
     write_number(os, r.phases.time(p));
   }
@@ -97,7 +78,7 @@ void write_report_json(std::ostream& os, const RunReport& r) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(Phase::kCount); ++i) {
     const auto p = static_cast<Phase>(i);
     if (i > 0) os << ',';
-    write_escaped(os, phase_name(p));
+    write_json_string(os, phase_name(p));
     os << ':';
     write_number(os, r.phases.energy(p));
   }
@@ -112,11 +93,11 @@ void write_report_json(std::ostream& os, const RunReport& r) {
       if (!first) os << ',';
       first = false;
       os << "{\"component\":";
-      write_escaped(os, component_name(key.component));
+      write_json_string(os, component_name(key.component));
       os << ",\"phase\":";
-      write_escaped(os, phase_name(key.phase));
+      write_json_string(os, phase_name(key.phase));
       os << ",\"unit\":";
-      write_escaped(os, key.unit);
+      write_json_string(os, key.unit);
       os << ",\"pj\":";
       write_number(os, pj);
       os << '}';

@@ -1,4 +1,4 @@
-#include "graph/edge_block_soa.hpp"
+#include "graph/edge_columns.hpp"
 
 #include "util/check.hpp"
 

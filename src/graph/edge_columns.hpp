@@ -1,17 +1,17 @@
-// Structure-of-arrays edge blocks for the vectorized kernel hot path.
+// Structure-of-arrays edge blocks: the one edge layout the vertex
+// programs' block kernels stream.
 //
-// The AoS Edge{src, dst} layout interleaves the two id streams, so a
-// kernel that only gathers source values still drags destination ids
-// through the cache line and vice versa — the bandwidth-wasting baseline
-// of the Dann et al. access-pattern studies (PAPERS.md). EdgeColumns
-// transposes an edge run once into contiguous src[]/dst[] columns plus a
-// precomputed per-edge weight hash (the expensive SplitMix64 avalanche
-// that SSSP and SpMV otherwise recompute on every traversal of every
-// edge), and EdgeBlockSoA hands kernels a borrowed window over those
-// columns. Built once per graph image and cached next to it
-// (Partitioning and Graph memoize their columns; GraphCache /
-// PartitionCache sharing then amortises the transpose across sweep
-// cells).
+// Interleaved Edge{src, dst} pairs would drag destination ids through
+// the cache when a kernel only gathers source values and vice versa;
+// Dann et al. (PAPERS.md) find that layout pays exactly when it cuts
+// the bytes a sequential edge stream moves. EdgeColumns transposes an
+// edge run once into contiguous src[]/dst[] columns plus a precomputed
+// per-edge weight hash (the expensive SplitMix64 avalanche that SSSP
+// and SpMV otherwise recompute on every traversal of every edge), and
+// EdgeBlockSoA hands kernels a borrowed window over those columns.
+// Built once per graph image and cached next to it (Partitioning and
+// Graph memoize their columns; GraphCache / PartitionCache sharing then
+// amortises the transpose across sweep cells).
 #pragma once
 
 #include <cstdint>
@@ -41,9 +41,9 @@ struct EdgeBlockSoA {
   std::span<const VertexId> destinations() const { return {dst, count}; }
 };
 
-// Owning edge columns, transposed once from an AoS edge span in the
-// span's order (so a view over [offset, offset+count) holds exactly the
-// same edges as the AoS subspan — block offsets carry over unchanged).
+// Owning edge columns, transposed once from an edge span in the span's
+// order (so a view over [offset, offset+count) holds exactly the edges
+// of that subspan — block offsets carry over unchanged).
 class EdgeColumns {
  public:
   EdgeColumns() = default;

@@ -6,7 +6,7 @@
 #include <span>
 #include <utility>
 
-#include "graph/edge_block_soa.hpp"
+#include "graph/edge_columns.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 

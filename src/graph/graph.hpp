@@ -11,7 +11,7 @@
 
 namespace hyve {
 
-class EdgeColumns;  // graph/edge_block_soa.hpp
+class EdgeColumns;  // graph/edge_columns.hpp
 
 using VertexId = std::uint32_t;
 
@@ -63,7 +63,7 @@ class Graph {
   // interval populations before interval-block partitioning.
   Graph hashed_remap(std::uint64_t seed) const;
 
-  // Structure-of-arrays image of edges() (edge_block_soa.hpp), built
+  // Structure-of-arrays image of edges() (edge_columns.hpp), built
   // lazily on first use: copies of this graph share one transpose. The
   // schedule-less run_functional path streams it; scheduled runs use
   // Partitioning::edge_columns() instead. Thread-safe.

@@ -76,12 +76,21 @@ VertexId VertexMap::interval_end(std::uint32_t i) const {
   return begins_[i] + populations_[i];
 }
 
+std::size_t VertexMap::resident_bytes() const {
+  return assignment_.capacity() * sizeof(std::uint32_t) +
+         (populations_.capacity() + begins_.capacity()) * sizeof(VertexId);
+}
+
 Partitioning::Partitioning(const Graph& g, VertexMap map)
     : Partitioning(InMemoryGraphSource(g), std::move(map)) {}
 
 Partitioning::Partitioning(const GraphSource& source, VertexMap map)
     : map_(std::move(map)) {
   const obs::HostSpan host_span("partition.build");
+  build(source);
+}
+
+void Partitioning::build(const GraphSource& source) {
   HYVE_CHECK_MSG(map_.num_vertices() == source.num_vertices(),
                  "vertex map covers " << map_.num_vertices()
                                       << " vertices but the graph has "
@@ -143,13 +152,6 @@ VertexMap checked_uniform_map(const Graph& g, std::uint32_t num_intervals) {
 Partitioning::Partitioning(const Graph& g, std::uint32_t num_intervals)
     : Partitioning(g, checked_uniform_map(g, num_intervals)) {}
 
-std::span<const Edge> Partitioning::block(std::uint32_t x,
-                                          std::uint32_t y) const {
-  HYVE_CHECK(x < num_intervals() && y < num_intervals());
-  const std::uint64_t b = block_index(x, y);
-  return {edges_.data() + offsets_[b], edges_.data() + offsets_[b + 1]};
-}
-
 std::uint64_t Partitioning::block_edge_count(std::uint32_t x,
                                              std::uint32_t y) const {
   HYVE_CHECK(x < num_intervals() && y < num_intervals());
@@ -165,7 +167,7 @@ std::uint64_t Partitioning::non_empty_blocks() const {
 }
 
 const EdgeColumns& Partitioning::edge_columns() const {
-  // Hot path: block_soa() lands here once per block per pass, so a
+  // Hot path: block() lands here once per block per pass, so a
   // published transpose is one acquire load away. First callers (sweep
   // workers racing into the same cached partitioning) serialise on the
   // lock and share one transpose, published with a release store.
@@ -181,7 +183,7 @@ const EdgeColumns& Partitioning::edge_columns() const {
   return *lazy_->columns;
 }
 
-EdgeBlockSoA Partitioning::block_soa(std::uint32_t x, std::uint32_t y) const {
+EdgeBlockSoA Partitioning::block(std::uint32_t x, std::uint32_t y) const {
   HYVE_CHECK(x < num_intervals() && y < num_intervals());
   const std::uint64_t b = block_index(x, y);
   return edge_columns().view(offsets_[b], offsets_[b + 1] - offsets_[b]);
@@ -239,6 +241,12 @@ std::size_t Partitioning::lazy_bytes() const {
   if (lazy_->columns != nullptr) bytes += lazy_->columns->approx_bytes();
   if (lazy_->index != nullptr) bytes += lazy_->index->approx_bytes();
   return bytes;
+}
+
+std::size_t Partitioning::resident_bytes() const {
+  return edges_.capacity() * sizeof(Edge) +
+         offsets_.capacity() * sizeof(std::uint64_t) +
+         map_.resident_bytes() + lazy_bytes();
 }
 
 }  // namespace hyve

@@ -4,7 +4,8 @@
 // P^2 blocks where B[x][y] holds the edges whose source lies in I_x and
 // destination in I_y. HyVE streams edges block by block so vertex
 // accesses stay inside the two intervals currently resident in on-chip
-// SRAM.
+// SRAM; kernels receive each block as an EdgeBlockSoA column view
+// (graph/edge_columns.hpp).
 //
 // The vertex→interval assignment is an explicit VertexMap, not the
 // historical implicit `v / interval_width` contract: the interval-block
@@ -21,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/edge_block_soa.hpp"
+#include "graph/edge_columns.hpp"
 #include "graph/graph.hpp"
 #include "graph/graph_source.hpp"
 
@@ -67,6 +68,9 @@ class VertexMap {
   bool is_contiguous() const { return contiguous_; }
   VertexId interval_begin(std::uint32_t i) const;
   VertexId interval_end(std::uint32_t i) const;
+
+  // Bytes of the map's arrays (capacity, not size).
+  std::size_t resident_bytes() const;
 
  private:
   VertexMap(VertexId num_vertices, std::uint32_t num_intervals)
@@ -143,8 +147,9 @@ class Partitioning {
     return map_.interval_end(i);
   }
 
-  // Edges of block B[x][y] (source interval x, destination interval y).
-  std::span<const Edge> block(std::uint32_t x, std::uint32_t y) const;
+  // Edges of block B[x][y] (source interval x, destination interval y),
+  // as a view over edge_columns(); the first call pays the transpose.
+  EdgeBlockSoA block(std::uint32_t x, std::uint32_t y) const;
   std::uint64_t block_edge_count(std::uint32_t x, std::uint32_t y) const;
 
   // Number of blocks that contain at least one edge.
@@ -160,33 +165,45 @@ class Partitioning {
   };
   const Replication& replication() const { return replication_; }
 
-  // All edges, grouped contiguously in block-major (x, then y) order.
+  // All edges, grouped contiguously in block-major (x, then y) order:
+  // the build's output, from which the columns are transposed. Its only
+  // reader outside this class is perfbench's bytes-per-edge metric;
+  // kernels and tests stream block(x, y).
   const std::vector<Edge>& grouped_edges() const { return edges_; }
 
-  // Structure-of-arrays image of grouped_edges(), transposed lazily on
+  // Column image of grouped_edges() (same order), transposed lazily on
   // first use and shared by copies of this partitioning, so one graph
   // image pays the O(E) transpose once per schedule no matter how many
   // sweep cells stream it. Valid for this partitioning's lifetime.
   // Thread-safe.
   const EdgeColumns& edge_columns() const;
 
-  // SoA view of block B[x][y] — same edges, same order as block(x, y).
-  EdgeBlockSoA block_soa(std::uint32_t x, std::uint32_t y) const;
-
   // Lazily built, shared and thread-safe like edge_columns().
   const SourceBlockIndex& source_block_index() const;
 
-  // Bytes of the lazily built SoA/index images currently resident (0
+  // Bytes of the lazily built column/index images currently resident (0
   // before first use). PartitionCache does not count them: its budget is
   // an entry cap.
   std::size_t lazy_bytes() const;
 
+  // Every byte this schedule holds, whatever the layout: the grouped
+  // edges, the block offsets, the vertex map and lazy_bytes().
+  std::size_t resident_bytes() const;
+
  private:
+  // Partitioner::partition maps vertices inside the build's host span.
+  friend class Partitioner;
+  Partitioning() = default;
+
+  // The counting sort and replication walk over map_, shared by every
+  // constructor; the caller holds the partition.build host span.
+  void build(const GraphSource& source);
+
   // Lazily built derived images, shared across copies (the grouped edge
   // layout they derive from is identical in every copy). Built once
   // under `mu`; the atomics publish the finished images so the per-block
-  // hot paths (block_soa in every functional pass) cost one acquire
-  // load instead of a mutex round trip.
+  // hot paths (block() in every functional pass) cost one acquire load
+  // instead of a mutex round trip.
   struct Lazy {
     std::mutex mu;
     std::shared_ptr<const EdgeColumns> columns;

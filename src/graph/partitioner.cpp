@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -404,6 +405,15 @@ std::optional<PartitionerSpec> parse_partitioner(const std::string& text) {
     return spec;
   }
   return std::nullopt;
+}
+
+Partitioning Partitioner::partition(const Graph& g,
+                                    std::uint32_t num_intervals) const {
+  const obs::HostSpan host_span("partition.build");
+  Partitioning schedule;
+  schedule.map_ = map_vertices(g, num_intervals);
+  schedule.build(InMemoryGraphSource(g));
+  return schedule;
 }
 
 std::unique_ptr<Partitioner> make_partitioner(const PartitionerSpec& spec) {

@@ -82,10 +82,10 @@ class Partitioner {
   virtual VertexMap map_vertices(const Graph& g,
                                  std::uint32_t num_intervals) const = 0;
 
-  // The full interval-block schedule over map_vertices().
-  Partitioning partition(const Graph& g, std::uint32_t num_intervals) const {
-    return Partitioning(g, map_vertices(g, num_intervals));
-  }
+  // The full interval-block schedule over map_vertices(). The mapping
+  // runs inside the schedule's partition.build host span: placing the
+  // vertices is part of what a strategy's schedule costs to build.
+  Partitioning partition(const Graph& g, std::uint32_t num_intervals) const;
 };
 
 std::unique_ptr<Partitioner> make_partitioner(const PartitionerSpec& spec);

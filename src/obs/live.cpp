@@ -14,6 +14,7 @@
 
 #include "obs/host_profiler.hpp"
 #include "obs/registry.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace hyve::obs {
@@ -28,25 +29,6 @@ struct TlsWorker {
   LiveTelemetry::WorkerSlot* slot = nullptr;
 };
 thread_local TlsWorker tls_worker;
-
-void write_json_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        else
-          os << c;
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -275,7 +257,7 @@ void LiveTelemetry::write_snapshot(const char* state) {
   std::ostringstream os;
   os << "{\"schema\":\"hyve-live-status\",\"version\":1,"
      << "\"state\":\"" << state << "\",\"bench\":";
-  write_json_escaped(os, options_.bench);
+  write_json_string(os, options_.bench);
   os << ",\"pid\":" << ::getpid() << ",\"wall_ms\":" << wall_ms
      << ",\"interval_ms\":" << options_.interval.count()
      << ",\"stall_after_ms\":" << options_.stall_after.count()
@@ -298,7 +280,7 @@ void LiveTelemetry::write_snapshot(const char* state) {
           now_us - slot.last_beat_us.load(std::memory_order_relaxed);
       if (i > 0) os << ',';
       os << "{\"id\":" << slot.id << ",\"phase\":";
-      write_json_escaped(os, slot.phase.load(std::memory_order_relaxed));
+      write_json_string(os, slot.phase.load(std::memory_order_relaxed));
       os << ",\"cell\":";
       if (cell == kNoCell)
         os << -1;
@@ -323,7 +305,7 @@ void LiveTelemetry::write_snapshot(const char* state) {
       if (eq == std::string::npos) continue;
       if (!first) os << ',';
       first = false;
-      write_json_escaped(os, line.substr(0, eq));
+      write_json_string(os, line.substr(0, eq));
       os << ':' << line.substr(eq + 1);
     }
   }

@@ -11,30 +11,11 @@
 #include <tuple>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace hyve::obs {
 
 namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_number(std::ostream& os, double v) {
   HYVE_CHECK_MSG(std::isfinite(v), "non-finite value in trace");
@@ -43,10 +24,10 @@ void write_number(std::ostream& os, double v) {
 
 void write_event(std::ostream& os, const TraceEvent& e) {
   os << "{\"name\":";
-  write_escaped(os, e.name);
+  write_json_string(os, e.name);
   if (!e.cat.empty()) {
     os << ",\"cat\":";
-    write_escaped(os, e.cat);
+    write_json_string(os, e.cat);
   }
   os << ",\"ph\":\"" << e.ph << "\"";
   // ts/dur are microseconds in the trace-event format; simulated
@@ -64,7 +45,7 @@ void write_event(std::ostream& os, const TraceEvent& e) {
     for (const auto& [key, value] : e.args) {
       if (!first) os << ',';
       first = false;
-      write_escaped(os, key);
+      write_json_string(os, key);
       os << ':';
       write_number(os, value);
     }
@@ -136,7 +117,7 @@ void Trace::thread_name(std::uint32_t pid, std::uint32_t tid,
   e.tid = tid;
   std::ostringstream arg;
   arg << "\"name\":";
-  write_escaped(arg, name);
+  write_json_string(arg, name);
   e.raw_args = arg.str();
   append(std::move(e));
 }
@@ -148,7 +129,7 @@ void Trace::process_name(std::uint32_t pid, std::string name) {
   e.pid = pid;
   std::ostringstream arg;
   arg << "\"name\":";
-  write_escaped(arg, name);
+  write_json_string(arg, name);
   e.raw_args = arg.str();
   append(std::move(e));
 }
@@ -164,9 +145,9 @@ void Trace::metadata(
   for (const auto& [key, value] : args) {
     if (!first) rendered << ',';
     first = false;
-    write_escaped(rendered, key);
+    write_json_string(rendered, key);
     rendered << ':';
-    write_escaped(rendered, value);
+    write_json_string(rendered, value);
   }
   e.raw_args = rendered.str();
   append(std::move(e));

@@ -175,11 +175,11 @@ TEST_F(BlockedIoTest, StreamedPartitioningMatchesInMemory) {
   ASSERT_EQ(streamed.num_edges(), in_memory.num_edges());
   for (std::uint32_t x = 0; x < 8; ++x)
     for (std::uint32_t y = 0; y < 8; ++y) {
-      const auto a = in_memory.block(x, y);
-      const auto b = streamed.block(x, y);
-      ASSERT_EQ(std::vector<Edge>(a.begin(), a.end()),
-                std::vector<Edge>(b.begin(), b.end()))
-          << "block " << x << "," << y;
+      const EdgeBlockSoA a = in_memory.block(x, y);
+      const EdgeBlockSoA b = streamed.block(x, y);
+      ASSERT_EQ(a.size(), b.size()) << "block " << x << "," << y;
+      for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(a.edge(i), b.edge(i)) << "block " << x << "," << y;
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
@@ -16,10 +17,10 @@ TEST(Partitioning, Fig1ExampleAllocatesBlocksCorrectly) {
   const Graph g = paper_example_graph();
   const Partitioning part(g, 4);
   EXPECT_EQ(part.interval_end(0) - part.interval_begin(0), 2u);
-  const auto b12 = part.block(1, 2);
+  const EdgeBlockSoA b12 = part.block(1, 2);
   ASSERT_EQ(b12.size(), 2u);  // edges 2->4 and 3->4
-  EXPECT_NE(std::find(b12.begin(), b12.end(), Edge{2, 4}), b12.end());
-  EXPECT_NE(std::find(b12.begin(), b12.end(), Edge{3, 4}), b12.end());
+  EXPECT_EQ(b12.edge(0), (Edge{2, 4}));
+  EXPECT_EQ(b12.edge(1), (Edge{3, 4}));
 }
 
 TEST(Partitioning, Fig1AllBlocks) {
@@ -43,9 +44,10 @@ TEST(Partitioning, EveryEdgeInExactlyItsBlock) {
   std::uint64_t total = 0;
   for (std::uint32_t x = 0; x < 10; ++x) {
     for (std::uint32_t y = 0; y < 10; ++y) {
-      for (const Edge& e : part.block(x, y)) {
-        EXPECT_EQ(part.interval_of(e.src), x);
-        EXPECT_EQ(part.interval_of(e.dst), y);
+      const EdgeBlockSoA block = part.block(x, y);
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        EXPECT_EQ(part.interval_of(block.edge(i).src), x);
+        EXPECT_EQ(part.interval_of(block.edge(i).dst), y);
       }
       total += part.block_edge_count(x, y);
     }
@@ -56,11 +58,47 @@ TEST(Partitioning, EveryEdgeInExactlyItsBlock) {
 TEST(Partitioning, PreservesEdgeMultiset) {
   const Graph g = generate_rmat(400, 3000, {}, 23);
   const Partitioning part(g, 7);
-  auto grouped = part.grouped_edges();
+  std::vector<Edge> grouped;
+  for (std::uint32_t x = 0; x < 7; ++x)
+    for (std::uint32_t y = 0; y < 7; ++y) {
+      const EdgeBlockSoA block = part.block(x, y);
+      for (std::size_t i = 0; i < block.size(); ++i)
+        grouped.push_back(block.edge(i));
+    }
   auto original = g.edges();
   std::sort(grouped.begin(), grouped.end());
   std::sort(original.begin(), original.end());
   EXPECT_EQ(grouped, original);
+}
+
+TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {
+  const Graph g = generate_rmat(1000, 8000, {}, 19);
+  const VertexId v = g.num_vertices();
+  std::vector<std::uint32_t> assignment(v);
+  for (VertexId i = 0; i < v; ++i) assignment[i] = i % 10;
+  // Uniform maps hold P populations and P+1 range starts; this explicit
+  // (non-contiguous) one holds V assignments and P populations.
+  const struct {
+    VertexMap map;
+    std::size_t map_bytes;
+  } cases[] = {
+      {VertexMap::uniform(v, 10), (10 + 11) * sizeof(VertexId)},
+      {VertexMap::from_assignment(assignment, 10),
+       (v + 10) * sizeof(std::uint32_t)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.map.resident_bytes(), c.map_bytes);
+    const Partitioning part(g, c.map);
+    const std::size_t eager = part.num_edges() * sizeof(Edge) +
+                              (part.num_blocks() + 1) * sizeof(std::uint64_t) +
+                              c.map_bytes;
+    EXPECT_EQ(part.lazy_bytes(), 0u);
+    EXPECT_EQ(part.resident_bytes(), eager);
+    part.edge_columns();
+    part.source_block_index();
+    EXPECT_GT(part.lazy_bytes(), 0u);
+    EXPECT_EQ(part.resident_bytes(), eager + part.lazy_bytes());
+  }
 }
 
 TEST(Partitioning, IntervalGeometry) {
@@ -120,7 +158,9 @@ TEST_P(PartitionSweep, BlockMembershipInvariant) {
   std::uint64_t total = 0;
   for (std::uint32_t x = 0; x < p; ++x)
     for (std::uint32_t y = 0; y < p; ++y) {
-      for (const Edge& e : part.block(x, y)) {
+      const EdgeBlockSoA block = part.block(x, y);
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const Edge e = block.edge(i);
         EXPECT_EQ(part.interval_of(e.src), x);
         EXPECT_EQ(part.interval_of(e.dst), y);
         EXPECT_GE(e.src, part.interval_begin(x));

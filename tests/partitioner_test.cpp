@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/bfs.hpp"
@@ -20,6 +22,8 @@
 #include "exp/cache.hpp"
 #include "exp/sweep.hpp"
 #include "graph/generators.hpp"
+#include "obs/host_profiler.hpp"
+#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -190,10 +194,11 @@ TEST(PartitionerProperty, EveryEdgeInExactlyOneBlock) {
       std::uint64_t total = 0;
       for (std::uint32_t x = 0; x < ng.p; ++x)
         for (std::uint32_t y = 0; y < ng.p; ++y) {
-          for (const Edge& e : part.block(x, y)) {
-            EXPECT_EQ(part.interval_of(e.src), x)
+          const EdgeBlockSoA block = part.block(x, y);
+          for (std::size_t i = 0; i < block.size(); ++i) {
+            EXPECT_EQ(part.interval_of(block.edge(i).src), x)
                 << ng.name << " " << spec.to_string();
-            EXPECT_EQ(part.interval_of(e.dst), y)
+            EXPECT_EQ(part.interval_of(block.edge(i).dst), y)
                 << ng.name << " " << spec.to_string();
           }
           total += part.block_edge_count(x, y);
@@ -362,11 +367,11 @@ PartitionStats reference_partition_stats(const Partitioning& schedule,
   std::uint64_t remote = 0;
   for (std::uint32_t x = 0; x < p; ++x) {
     for (std::uint32_t y = 0; y < p; ++y) {
-      const auto edges = schedule.block(x, y);
+      const EdgeBlockSoA edges = schedule.block(x, y);
       if (edges.empty()) continue;
       const std::uint64_t stamp = static_cast<std::uint64_t>(x) * p + y + 1;
-      for (const Edge& edge : edges) {
-        for (const VertexId endpoint : {edge.src, edge.dst}) {
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        for (const VertexId endpoint : {edges.src[i], edges.dst[i]}) {
           if (last_block[endpoint] == 0) ++touched;
           if (last_block[endpoint] != stamp) {
             last_block[endpoint] = stamp;
@@ -409,6 +414,49 @@ TEST(PartitionerMachine, BuildTimeStatsEqualTheEdgeWalkExactly) {
       }
     }
   }
+}
+
+// ---------- host profile of the build ----------
+
+// Wraps a strategy with a mapping that takes at least `kDelay`, so the
+// partition.build span provably covers map_vertices.
+class SlowMappingPartitioner final : public Partitioner {
+ public:
+  static constexpr std::chrono::milliseconds kDelay{20};
+  explicit SlowMappingPartitioner(const PartitionerSpec& spec)
+      : inner_(make_partitioner(spec)) {}
+  const PartitionerSpec& spec() const override { return inner_->spec(); }
+  VertexMap map_vertices(const Graph& g, std::uint32_t p) const override {
+    std::this_thread::sleep_for(kDelay);
+    return inner_->map_vertices(g, p);
+  }
+
+ private:
+  std::unique_ptr<Partitioner> inner_;
+};
+
+TEST(PartitionerProfile, OneBuildSpanCoversTheVertexMapping) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::host_profiler().start();
+  obs::registry().reset_values();
+  const Graph g = generate_rmat(2000, 12000, {}, 59);
+  const PartitionerSpec hep = *parse_partitioner("hep:tau=2");
+  make_partitioner(hep)->partition(g, 8);
+  const obs::Histogram& build =
+      obs::registry().histogram("host.span.partition.build");
+  EXPECT_EQ(build.count(), 1u);
+  EXPECT_EQ(obs::registry().histogram("host.span.partition.stats").count(),
+            1u);
+  obs::registry().reset_values();
+  SlowMappingPartitioner(hep).partition(g, 8);
+  EXPECT_EQ(build.count(), 1u);
+  // Span samples are in microseconds.
+  const auto delay_us = static_cast<std::uint64_t>(
+      std::chrono::microseconds(SlowMappingPartitioner::kDelay).count());
+  EXPECT_GE(build.sum(), delay_us);
+  obs::host_profiler().stop();
+  obs::set_enabled(was_enabled);
 }
 
 // ---------- cache keying per strategy ----------

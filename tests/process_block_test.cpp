@@ -1,10 +1,25 @@
-// Pins VertexProgram::process_block to the per-edge semantics: for every
-// shipped program the batched kernel must produce the same destination
-// writes, the same changed-vertex sets and the same final outputs as the
-// process_edge() loop it replaces. These tests are the contract that
-// lets run_functional/run_frontier drive per-block spans.
+// Differential tests of VertexProgram::process_block against the scalar
+// process_edge reference. For every shipped program the block kernel
+// must produce the same per-block write counts, the same changed-vertex
+// bitmaps, the same end_iteration decisions and the same final vertex
+// state as the per-edge loop it replaces — on the paper's example graph,
+// an R-MAT at the paper's schedule granularity, and random graphs,
+// partition widths and mid-run states. These tests are the contract that
+// lets run_functional/run_frontier drive whole blocks. Also pins the
+// precomputed weight-hash column to Graph::edge_weight, proves
+// per-iteration pattern reuse is invisible in results and traces, and
+// exercises the lock-free lazy memo publication under concurrency (run
+// under -L sweep-engine so the ThreadSanitizer CI pass covers it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <random>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "algos/bfs.hpp"
@@ -17,30 +32,116 @@
 #include "algos/sssp.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "util/check.hpp"
 
 namespace hyve {
 namespace {
 
+struct ProgramCase {
+  const char* label;
+  std::function<std::unique_ptr<VertexProgram>()> make;
+  std::function<void(const VertexProgram&, const VertexProgram&)> expect_eq;
+};
+
+template <typename Program, typename Output>
+ProgramCase program_case(const char* label,
+                         std::function<Program()> make_program,
+                         Output (Program::*output)() const) {
+  return {label,
+          [make_program]() -> std::unique_ptr<VertexProgram> {
+            return std::make_unique<Program>(make_program());
+          },
+          [output](const VertexProgram& a, const VertexProgram& b) {
+            EXPECT_EQ((dynamic_cast<const Program&>(a).*output)(),
+                      (dynamic_cast<const Program&>(b).*output)());
+          }};
+}
+
+std::vector<ProgramCase> all_programs() {
+  using Gas = GasProgram<std::uint32_t>;
+  return {
+      program_case<BfsProgram>("BFS", [] { return BfsProgram(); },
+                               &BfsProgram::distances),
+      program_case<CcProgram>("CC", [] { return CcProgram(); },
+                              &CcProgram::labels),
+      program_case<PageRankProgram>("PR", [] { return PageRankProgram(); },
+                                    &PageRankProgram::ranks),
+      program_case<SsspProgram>("SSSP", [] { return SsspProgram(); },
+                                &SsspProgram::distances),
+      program_case<SpmvProgram>("SpMV", [] { return SpmvProgram(); },
+                                &SpmvProgram::result),
+      program_case<Gas>("REACH", [] { return make_reachability_program(0); },
+                        &Gas::values),
+      program_case<Gas>("WIDEST", [] { return make_widest_path_program(0); },
+                        &Gas::values),
+  };
+}
+
 Graph rmat_graph() { return generate_rmat(20000, 120000, {}, 888); }
+
+// Drives two fresh instances of one program in lockstep over `part` in
+// the destination-major block order, for up to `max_passes` passes or
+// until they converge: `by_edge` through process_edge, `by_block`
+// through process_block. Each block must report the same write count
+// and mark the same changed vertices, and each pass must end with the
+// same end_iteration decision; the final states are compared last.
+void expect_lockstep(const Graph& g, const Partitioning& part,
+                     const ProgramCase& pc, std::uint32_t max_passes) {
+  const auto by_edge = pc.make();
+  const auto by_block = pc.make();
+  by_edge->init(g);
+  by_block->init(g);
+  const std::uint32_t p = part.num_intervals();
+  std::vector<char> ref_changed(g.num_vertices(), 0);
+  std::vector<char> blk_changed(g.num_vertices(), 0);
+  bool more = true;
+  std::uint32_t pass = 0;
+  while (more && pass < std::min(max_passes, by_edge->max_iterations())) {
+    for (std::uint32_t y = 0; y < p; ++y) {
+      for (std::uint32_t x = 0; x < p; ++x) {
+        std::fill(ref_changed.begin(), ref_changed.end(), 0);
+        std::fill(blk_changed.begin(), blk_changed.end(), 0);
+        const EdgeBlockSoA block = part.block(x, y);
+        std::uint64_t ref_writes = 0;
+        for (std::size_t i = 0; i < block.size(); ++i) {
+          const Edge e = block.edge(i);
+          if (by_edge->process_edge(e)) {
+            ++ref_writes;
+            ref_changed[e.dst] = 1;
+          }
+        }
+        const std::uint64_t blk_writes =
+            by_block->process_block(block, &blk_changed);
+        ASSERT_EQ(ref_writes, blk_writes)
+            << "block (" << x << ", " << y << ") pass " << pass;
+        ASSERT_EQ(ref_changed, blk_changed)
+            << "block (" << x << ", " << y << ") pass " << pass;
+      }
+    }
+    ++pass;
+    more = by_edge->end_iteration(pass);
+    ASSERT_EQ(more, by_block->end_iteration(pass)) << "pass " << pass;
+  }
+  pc.expect_eq(*by_edge, *by_block);
+}
 
 // The pre-batching functional loop: one virtual call per edge, exactly
 // what run_functional did before process_block existed.
 FunctionalResult reference_run_functional(const Graph& graph,
                                           VertexProgram& program,
-                                          const Partitioning* schedule) {
+                                          const Partitioning& schedule) {
   program.init(graph);
   FunctionalResult result;
   bool more = true;
   while (more && result.iterations < program.max_iterations()) {
-    if (schedule != nullptr) {
-      const std::uint32_t p = schedule->num_intervals();
-      for (std::uint32_t y = 0; y < p; ++y)
-        for (std::uint32_t x = 0; x < p; ++x)
-          for (const Edge& e : schedule->block(x, y))
-            result.destination_writes += program.process_edge(e) ? 1 : 0;
-    } else {
-      for (const Edge& e : graph.edges())
-        result.destination_writes += program.process_edge(e) ? 1 : 0;
+    const std::uint32_t p = schedule.num_intervals();
+    for (std::uint32_t y = 0; y < p; ++y) {
+      for (std::uint32_t x = 0; x < p; ++x) {
+        const EdgeBlockSoA block = schedule.block(x, y);
+        for (std::size_t i = 0; i < block.size(); ++i)
+          result.destination_writes +=
+              program.process_edge(block.edge(i)) ? 1 : 0;
+      }
     }
     result.edges_traversed += graph.num_edges();
     ++result.iterations;
@@ -49,103 +150,87 @@ FunctionalResult reference_run_functional(const Graph& graph,
   return result;
 }
 
-// Drives two instances of the same program in lockstep over the same
-// block schedule — one through process_edge, one through process_block —
-// comparing write counts and changed-vertex sets per block and the
-// convergence decision per iteration.
-void expect_blockwise_equivalence(const Graph& graph, VertexProgram& by_edge,
-                                  VertexProgram& by_block, std::uint32_t p) {
-  const Partitioning part(graph, p);
-  by_edge.init(graph);
-  by_block.init(graph);
-  bool more = true;
-  std::uint32_t iter = 0;
-  while (more && iter < by_edge.max_iterations()) {
-    for (std::uint32_t y = 0; y < p; ++y) {
-      for (std::uint32_t x = 0; x < p; ++x) {
-        std::vector<char> ref_changed(graph.num_vertices(), 0);
-        std::vector<char> blk_changed(graph.num_vertices(), 0);
-        std::uint64_t ref_writes = 0;
-        for (const Edge& e : part.block(x, y)) {
-          if (by_edge.process_edge(e)) {
-            ++ref_writes;
-            ref_changed[e.dst] = 1;
-          }
-        }
-        const std::uint64_t blk_writes =
-            by_block.process_block(part.block(x, y), &blk_changed);
-        ASSERT_EQ(ref_writes, blk_writes)
-            << "block (" << x << ", " << y << ") iteration " << iter;
-        ASSERT_EQ(ref_changed, blk_changed)
-            << "block (" << x << ", " << y << ") iteration " << iter;
-      }
+// Runs the programs named in `labels` to convergence on the paper's
+// example graph and the R-MAT, block by block in lockstep and then as a
+// whole run_functional against the per-edge loop.
+void expect_matches_per_edge_to_convergence(
+    std::initializer_list<std::string_view> labels) {
+  const struct {
+    const char* label;
+    Graph graph;
+  } graphs[] = {{"paper", paper_example_graph()}, {"rmat", rmat_graph()}};
+  std::size_t matched = 0;
+  for (const auto& gc : graphs) {
+    // Block by block, on the paper's schedule granularity.
+    const Partitioning part(gc.graph, 8);
+    for (const ProgramCase& pc : all_programs()) {
+      if (std::find(labels.begin(), labels.end(), pc.label) == labels.end())
+        continue;
+      ++matched;
+      SCOPED_TRACE(::testing::Message() << gc.label << "/" << pc.label);
+      expect_lockstep(gc.graph, part, pc, ~std::uint32_t{0});
+      // Whole run: the shipped (block-driven) run_functional against
+      // the per-edge loop, counts and outputs.
+      const auto ref_program = pc.make();
+      const auto blk_program = pc.make();
+      const FunctionalResult ref =
+          reference_run_functional(gc.graph, *ref_program, part);
+      const FunctionalResult blk =
+          run_functional(gc.graph, *blk_program, &part);
+      EXPECT_EQ(ref.iterations, blk.iterations);
+      EXPECT_EQ(ref.edges_traversed, blk.edges_traversed);
+      EXPECT_EQ(ref.destination_writes, blk.destination_writes);
+      pc.expect_eq(*ref_program, *blk_program);
     }
-    ++iter;
-    more = by_edge.end_iteration(iter);
-    ASSERT_EQ(more, by_block.end_iteration(iter)) << "iteration " << iter;
   }
-}
-
-template <typename Program, typename Output>
-void expect_equivalence_on(const Graph& graph, Program a, Program b,
-                           Program c, Program d, Output output) {
-  // Block-by-block, on the paper's schedule granularity.
-  expect_blockwise_equivalence(graph, a, b, 8);
-  EXPECT_EQ(output(a), output(b));
-  // Whole-run: the shipped (block-driven) run_functional vs the
-  // reference per-edge loop, counts and outputs.
-  const Partitioning part(graph, 8);
-  const FunctionalResult ref = reference_run_functional(graph, c, &part);
-  const FunctionalResult blk = run_functional(graph, d, &part);
-  EXPECT_EQ(ref.iterations, blk.iterations);
-  EXPECT_EQ(ref.edges_traversed, blk.edges_traversed);
-  EXPECT_EQ(ref.destination_writes, blk.destination_writes);
-  EXPECT_EQ(output(c), output(d));
+  EXPECT_EQ(matched, labels.size() * std::size(graphs));
 }
 
 TEST(ProcessBlock, BfsMatchesPerEdge) {
-  for (const Graph& g : {paper_example_graph(), rmat_graph()})
-    expect_equivalence_on(g, BfsProgram(0), BfsProgram(0), BfsProgram(0),
-                          BfsProgram(0),
-                          [](const BfsProgram& p) { return p.distances(); });
+  expect_matches_per_edge_to_convergence({"BFS"});
 }
 
 TEST(ProcessBlock, CcMatchesPerEdge) {
-  for (const Graph& g : {paper_example_graph(), rmat_graph()})
-    expect_equivalence_on(g, CcProgram(), CcProgram(), CcProgram(),
-                          CcProgram(),
-                          [](const CcProgram& p) { return p.labels(); });
+  expect_matches_per_edge_to_convergence({"CC"});
 }
 
 TEST(ProcessBlock, PageRankMatchesPerEdge) {
-  for (const Graph& g : {paper_example_graph(), rmat_graph()})
-    expect_equivalence_on(g, PageRankProgram(5), PageRankProgram(5),
-                          PageRankProgram(5), PageRankProgram(5),
-                          [](const PageRankProgram& p) { return p.ranks(); });
+  expect_matches_per_edge_to_convergence({"PR"});
 }
 
 TEST(ProcessBlock, SsspMatchesPerEdge) {
-  for (const Graph& g : {paper_example_graph(), rmat_graph()})
-    expect_equivalence_on(g, SsspProgram(0), SsspProgram(0), SsspProgram(0),
-                          SsspProgram(0),
-                          [](const SsspProgram& p) { return p.distances(); });
+  expect_matches_per_edge_to_convergence({"SSSP"});
 }
 
 TEST(ProcessBlock, SpmvMatchesPerEdge) {
-  for (const Graph& g : {paper_example_graph(), rmat_graph()})
-    expect_equivalence_on(g, SpmvProgram(), SpmvProgram(), SpmvProgram(),
-                          SpmvProgram(),
-                          [](const SpmvProgram& p) { return p.result(); });
+  expect_matches_per_edge_to_convergence({"SpMV"});
 }
 
 TEST(ProcessBlock, GasProgramMatchesPerEdge) {
-  // GasProgram has no bespoke kernel body per algorithm — its override
-  // loops the scatter callable — but the contract must hold all the same.
-  for (const Graph& g : {paper_example_graph(), rmat_graph()})
-    expect_equivalence_on(
-        g, make_reachability_program(0), make_reachability_program(0),
-        make_reachability_program(0), make_reachability_program(0),
-        [](const GasProgram<std::uint32_t>& p) { return p.values(); });
+  // Both GAS programs share GasProgram::process_block, which runs each
+  // Spec's own scatter_block kernel.
+  expect_matches_per_edge_to_convergence({"REACH", "WIDEST"});
+}
+
+TEST(ProcessBlock, MatchesPerEdgeOnRandomBlocksAndStates) {
+  std::mt19937 rng(0xC0FFEE);
+  const auto cases = all_programs();
+  for (int round = 0; round < 4; ++round) {
+    const VertexId v = 500 + static_cast<VertexId>(rng() % 3000);
+    const std::uint64_t e = static_cast<std::uint64_t>(v) * (2 + rng() % 5);
+    const std::uint32_t p = 1 + rng() % 40;
+    const std::uint32_t warmup = rng() % 3;
+    const Graph g = generate_rmat(v, e, {}, rng());
+    const Partitioning part(g, p);
+    SCOPED_TRACE(::testing::Message() << "V=" << v << " E=" << e
+                                      << " P=" << p << " warmup=" << warmup);
+    // The warm-up passes put both programs in a (possibly
+    // mid-convergence) state before the last checked pass.
+    for (const ProgramCase& pc : cases) {
+      SCOPED_TRACE(pc.label);
+      expect_lockstep(g, part, pc, warmup + 1);
+    }
+  }
 }
 
 TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
@@ -173,7 +258,8 @@ TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
   CountingProgram prog;
   prog.init(g);
   std::vector<char> changed(g.num_vertices(), 0);
-  const std::uint64_t writes = prog.process_block(g.edges(), &changed);
+  const EdgeColumns columns(g.edges());
+  const std::uint64_t writes = prog.process_block(columns.all(), &changed);
 
   CountingProgram ref;
   ref.init(g);
@@ -190,12 +276,12 @@ TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
 }
 
 TEST(ProcessBlock, FrontierRunMatchesPerEdgeReference) {
-  // run_frontier now drives process_block with the shared changed
-  // vector; fixpoints must still match the dense per-edge reference.
+  // run_frontier drives process_block with the shared changed vector;
+  // fixpoints must still match the dense per-edge reference.
   const Graph g = rmat_graph();
   const Partitioning part(g, 16);
   BfsProgram dense(0);
-  reference_run_functional(g, dense, &part);
+  reference_run_functional(g, dense, part);
   BfsProgram skipped(0);
   const FrontierTrace trace = run_frontier(g, skipped, part);
   EXPECT_EQ(dense.distances(), skipped.distances());
@@ -234,6 +320,108 @@ TEST(FrontierTrace, SparseAccessorsMatchDenseExpansion) {
   }
   EXPECT_GT(trace.approx_bytes(), sizeof(FrontierTrace));
 }
+
+TEST(ProcessBlock, WeightHashColumnMatchesEdgeWeight) {
+  const Graph g = generate_rmat(2000, 12000, {}, 0x5EED);
+  const Partitioning part(g, 8);
+  for (std::uint32_t y = 0; y < part.num_intervals(); ++y) {
+    for (std::uint32_t x = 0; x < part.num_intervals(); ++x) {
+      const EdgeBlockSoA block = part.block(x, y);
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const Edge e = block.edge(i);
+        ASSERT_EQ(block.weight_hash[i], Graph::edge_weight_hash(e));
+        for (const std::uint32_t max_weight : {1u, 7u, 64u, 255u})
+          ASSERT_EQ(Graph::edge_weight_from_hash(block.weight_hash[i],
+                                                 max_weight),
+                    Graph::edge_weight(e, max_weight));
+      }
+    }
+  }
+}
+
+TEST(ProcessBlock, PatternReuseIsTraceInvisible) {
+  const struct {
+    const char* label;
+    Graph graph;
+  } graphs[] = {
+      {"rmat", generate_rmat(5000, 30000, {}, 0xBE7C)},
+      {"ba", generate_barabasi_albert(5000, 6, 0xBE7C)},
+  };
+  const auto cases = all_programs();
+  for (const auto& gc : graphs) {
+    const Partitioning part(gc.graph, 16);
+    for (const ProgramCase& pc : cases) {
+      SCOPED_TRACE(::testing::Message() << gc.label << "/" << pc.label);
+      const auto with = pc.make();
+      const auto without = pc.make();
+      const FrontierTrace on = run_frontier(
+          gc.graph, *with, part, FrontierOptions{.pattern_reuse = true});
+      const FrontierTrace off = run_frontier(
+          gc.graph, *without, part, FrontierOptions{.pattern_reuse = false});
+      // Replayed blocks are provably write-free, so reuse changes the
+      // host's streaming volume and nothing else: results, iteration
+      // counts and the per-iteration block traces are identical.
+      EXPECT_EQ(on.result.iterations, off.result.iterations);
+      EXPECT_EQ(on.result.destination_writes, off.result.destination_writes);
+      EXPECT_EQ(on.result.edges_traversed, off.result.edges_traversed);
+      EXPECT_EQ(off.edges_skipped, 0u);
+      EXPECT_EQ(off.blocks_skipped, 0u);
+      ASSERT_EQ(on.iteration_blocks.size(), off.iteration_blocks.size());
+      for (std::size_t it = 0; it < on.iteration_blocks.size(); ++it) {
+        const auto& lhs = on.iteration_blocks[it];
+        const auto& rhs = off.iteration_blocks[it];
+        ASSERT_EQ(lhs.size(), rhs.size()) << "iteration " << it;
+        for (std::size_t i = 0; i < lhs.size(); ++i) {
+          EXPECT_EQ(lhs[i].block, rhs[i].block);
+          EXPECT_EQ(lhs[i].edges, rhs[i].edges);
+        }
+      }
+      pc.expect_eq(*with, *without);
+    }
+  }
+}
+
+TEST(PartitionLazyMemo, ConcurrentBuildersShareOneImage) {
+  const Graph g = generate_rmat(4000, 24000, {}, 0xACE5);
+  const Partitioning part(g, 16);
+  const Partitioning copy = part;  // shares the lazy images
+  // Sweep workers race into the same cached partitioning; every caller
+  // must observe exactly one published transpose and one index.
+  std::vector<const EdgeColumns*> columns(8, nullptr);
+  std::vector<const SourceBlockIndex*> indexes(8, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        const Partitioning& mine = (t % 2 == 0) ? part : copy;
+        columns[t] = &mine.edge_columns();
+        indexes[t] = &mine.source_block_index();
+        // Re-reads hit the published fast path.
+        EXPECT_EQ(columns[t], &mine.edge_columns());
+        EXPECT_EQ(indexes[t], &mine.source_block_index());
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (int t = 1; t < 8; ++t) {
+    EXPECT_EQ(columns[t], columns[0]);
+    EXPECT_EQ(indexes[t], indexes[0]);
+  }
+  EXPECT_EQ(columns[0]->size(), g.num_edges());
+  EXPECT_GT(part.lazy_bytes(), 0u);
+}
+
+#ifndef NDEBUG
+TEST(ProcessBlock, ChangedCoverAssertThrowsInDebugBuilds) {
+  const Graph g(4, {{0, 3}});
+  const Partitioning part(g, 1);
+  BfsProgram program;
+  program.init(g);
+  std::vector<char> too_small(1, 0);  // cannot index destination 3
+  EXPECT_THROW(program.process_block(part.block(0, 0), &too_small),
+               InvariantError);
+}
+#endif
 
 }  // namespace
 }  // namespace hyve

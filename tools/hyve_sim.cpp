@@ -201,10 +201,13 @@ int run_metrics_census() {
 int main(int argc, char** argv) {
   using namespace hyve;
 
-  std::optional<Graph> graph;
-  std::string graph_label = "?";
-  // --graph loading is deferred to after parsing so --graph-format,
-  // --ooc-window-mb and --metrics apply regardless of flag order.
+  // Every graph source is built after parsing, once the run session has
+  // started: --graph-format, --ooc-window-mb and --metrics then apply
+  // regardless of flag order, and the host profiler covers the build.
+  std::optional<DatasetId> dataset;
+  std::string rmat_spec;
+  VertexId rmat_vertices = 0;
+  std::uint64_t rmat_edges = 0;
   std::string graph_path;
   std::string graph_format = "auto";
   std::size_t ooc_window_bytes = 0;
@@ -222,10 +225,8 @@ int main(int argc, char** argv) {
       "simulate one algorithm on one graph under one machine config");
   parser.option("--dataset", "YT|WK|AS|LJ|TW", "built-in synthetic dataset",
                 [&](const std::string& v) {
-                  const auto id = parse_dataset(v);
-                  if (!id) parser.fail("unknown dataset " + v);
-                  graph = dataset_graph(*id);
-                  graph_label = dataset_name(*id);
+                  dataset = parse_dataset(v);
+                  if (!dataset) parser.fail("unknown dataset " + v);
                 });
   parser.option("--graph", "PATH",
                 "graph file (edge-list text, .bin cache, or HyVEgrf2 "
@@ -252,13 +253,11 @@ int main(int argc, char** argv) {
                   const auto x = spec.find('x');
                   if (x == std::string::npos)
                     parser.fail("--rmat expects VxE");
-                  const auto v = cli::parse_int(parser, "--rmat vertices",
-                                                spec.substr(0, x), 1);
-                  const auto e = cli::parse_int(parser, "--rmat edges",
-                                                spec.substr(x + 1), 1);
-                  graph = generate_rmat(static_cast<VertexId>(v),
-                                        static_cast<std::uint64_t>(e), {}, 1);
-                  graph_label = "rmat:" + spec;
+                  rmat_vertices = static_cast<VertexId>(cli::parse_int(
+                      parser, "--rmat vertices", spec.substr(0, x), 1));
+                  rmat_edges = static_cast<std::uint64_t>(cli::parse_int(
+                      parser, "--rmat edges", spec.substr(x + 1), 1));
+                  rmat_spec = spec;
                 });
   parser.option("--algo", "bfs|cc|pr|sssp|spmv", "algorithm (default pr)",
                 [&](const std::string& v) {
@@ -318,14 +317,27 @@ int main(int argc, char** argv) {
     parser.parse(argc, argv);
 
     if (list_metrics) return run_metrics_census();
+    const int sources = (dataset ? 1 : 0) + (rmat_spec.empty() ? 0 : 1) +
+                        (graph_path.empty() ? 0 : 1);
+    if (sources > 1) parser.fail("choose one of --dataset/--graph/--rmat");
+    if (sources == 0)
+      parser.fail("no input graph (--dataset/--graph/--rmat)");
 
-    // Start before the graph loads so the sim.ooc.* window counters
-    // cover the streaming load itself.
+    // Start before the graph is built so the host profiler covers
+    // generation and loading, and the sim.ooc.* window counters cover a
+    // streaming load.
     session.start(argc, argv);
     obs::live_telemetry().add_total_cells(1);
 
-    if (!graph_path.empty()) {
-      if (graph) parser.fail("choose one of --dataset/--graph/--rmat");
+    std::optional<Graph> graph;
+    std::string graph_label;
+    if (dataset) {
+      graph = dataset_graph(*dataset);
+      graph_label = dataset_name(*dataset);
+    } else if (!rmat_spec.empty()) {
+      graph = generate_rmat(rmat_vertices, rmat_edges, {}, 1);
+      graph_label = "rmat:" + rmat_spec;
+    } else {
       const bool is_blocked =
           graph_format == "blocked" ||
           (graph_format == "auto" &&
@@ -348,8 +360,6 @@ int main(int argc, char** argv) {
       }
       graph_label = graph_path;
     }
-    if (!graph)
-      parser.fail("no input graph (--dataset/--graph/--rmat)");
 
     if (partitioner) config.set_partitioner(*partitioner);
     const HyveMachine machine(config);
