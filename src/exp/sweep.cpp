@@ -4,6 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -125,6 +128,23 @@ void ResultSink::write(const SweepCell& cell, const RunReport& report) {
   ++records_;
 }
 
+namespace {
+
+// By default glibc gives each worker thread a malloc arena of its own, and
+// memory freed into an arena stays resident for that arena alone to
+// reuse. The graph images, schedules and transposes a sweep frees would
+// then strand in whichever arena built them, so a run's peak RSS would
+// depend on which worker happened to build what. One arena for the whole
+// process lets every worker reuse what any cell freed.
+void share_one_malloc_arena() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] { mallopt(M_ARENA_MAX, 1); });
+#endif
+}
+
+}  // namespace
+
 void parallel_cells(std::size_t n, int jobs_option,
                     const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -167,6 +187,7 @@ void parallel_cells(std::size_t n, int jobs_option,
   if (jobs <= 1) {
     worker();
   } else {
+    share_one_malloc_arena();
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(worker);

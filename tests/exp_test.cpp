@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -19,6 +22,10 @@
 #include "graph/blocked_format.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace hyve {
 namespace {
@@ -158,6 +165,34 @@ TEST(SweepEngine, PropagatesCellFailures) {
   spec.graphs = {"tiny"};
   EXPECT_THROW(engine.run(spec), InvariantError);
 }
+
+#if defined(__GLIBC__)
+// The malloc arenas this process has, counted from malloc_info's report.
+int malloc_arenas() {
+  char* text = nullptr;
+  std::size_t size = 0;
+  FILE* out = open_memstream(&text, &size);
+  malloc_info(0, out);
+  std::fclose(out);
+  int arenas = 0;
+  for (const char* at = text; (at = std::strstr(at, "<heap nr=")) != nullptr;
+       ++at)
+    ++arenas;
+  std::free(text);
+  return arenas;
+}
+
+// What one worker frees must stay reusable by every other; the sweep's
+// peak RSS depends on it (parallel_cells).
+TEST(SweepEngine, WorkersShareOneMallocArena) {
+  const int before = malloc_arenas();
+  std::vector<std::vector<char>> kept(64);
+  exp::parallel_cells(kept.size(), 4, [&kept](std::size_t i) {
+    kept[i].assign(4096 + i, 'x');
+  });
+  EXPECT_EQ(malloc_arenas(), before);
+}
+#endif
 
 TEST(SweepEngine, SinkAnnotatesGraphAndValidates) {
   exp::SweepSpec spec;
