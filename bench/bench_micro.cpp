@@ -183,9 +183,10 @@ int main(int argc, char** argv) {
   // narrows over ~5 passes — the regime block-level pattern reuse
   // targets) and Barabási–Albert (heavy-tail, hub-rooted traversals that
   // converge in a burst and then coast on clean blocks). Smaller under
-  // --smoke so the determinism ctest stays quick. The edge columns and
-  // the reuse index are forced here, outside any stopwatch — sweeps
-  // amortise them across a whole grid the same way.
+  // --smoke so the determinism ctest stays quick. The weight-hash column
+  // (built on first use) and the reuse index are forced here, outside
+  // any stopwatch — sweeps amortise them across a whole grid the same
+  // way.
   struct GraphCase {
     const char* label;     // table column
     std::string key;       // --json graph key
@@ -194,7 +195,7 @@ int main(int argc, char** argv) {
   };
   const auto make_case = [&](const char* label, std::string key, Graph g) {
     Partitioning part(g, kNumIntervals);
-    part.edge_columns();
+    part.edge_columns().weight_hash();
     part.source_block_index();
     return GraphCase{label, std::move(key), std::move(g), std::move(part)};
   };

@@ -37,11 +37,15 @@ grep -q '"ph"' "$obs_dir/trace.json" ||
 grep -q '"traceEvents"' "$obs_dir/trace.json" ||
   { echo "obs-smoke: not a trace-event document" >&2; exit 1; }
 # The graph is generated after the host profiler starts, so its span
-# lands in the profile.
+# lands in the profile, and so does the run's one §4.3 hash-balance
+# remap (on by default).
 ./build/tools/hyve_sim --rmat 5000x30000 --host-profile --metrics \
   >/dev/null 2>"$obs_dir/host_metrics.txt"
 grep -q '^host\.span\.rmat\.generate\.count=1$' "$obs_dir/host_metrics.txt" ||
   { echo "obs-smoke: --rmat generation escaped the host profiler" >&2
+    exit 1; }
+grep -q '^host\.span\.graph\.remap\.count=1$' "$obs_dir/host_metrics.txt" ||
+  { echo "obs-smoke: the hash-balance remap escaped the host profiler" >&2
     exit 1; }
 echo "obs-smoke: OK"
 

@@ -55,7 +55,7 @@ GasProgram<std::uint32_t> make_widest_path_program(
                            std::vector<char>* changed) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
-    const std::uint64_t* const hash = block.weight_hash;
+    const std::uint64_t* const hash = block.weight_hash();
     std::uint64_t writes = 0;
     for (std::size_t i = 0; i < block.count; ++i) {
       const std::uint32_t s = values[src[i]];

@@ -53,9 +53,9 @@ FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
   program.init(graph);
   FunctionalResult result;
 
-  // The schedule's columns are transposed lazily once and shared across
-  // every run of the same partitioning; the schedule-less path streams
-  // the graph's own memoized columns, in edge-list order.
+  // The schedule's columns are its build's output, shared across every
+  // run of the same partitioning; the schedule-less path streams the
+  // graph's own memoized columns, in edge-list order.
   std::shared_ptr<const EdgeColumns> whole_graph;
   if (schedule == nullptr) whole_graph = graph.edge_columns_shared();
 

@@ -38,7 +38,7 @@ std::uint64_t SpmvProgram::process_block(const EdgeBlockSoA& block,
   const double* const x = x_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
-  const std::uint64_t* const hash = block.weight_hash;
+  const std::uint64_t* const hash = block.weight_hash();
   // Two per-edge hashes of process_edge (matrix entry and input
   // value) become one modulo and one gather; the accumulation itself
   // stays sequential to preserve the reference's FP order exactly.

@@ -37,7 +37,7 @@ std::uint64_t SsspProgram::process_block(const EdgeBlockSoA& block,
   std::uint64_t* const dist = dist_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
-  const std::uint64_t* const hash = block.weight_hash;
+  const std::uint64_t* const hash = block.weight_hash();
   const std::uint32_t max_weight = max_weight_;
   std::uint64_t writes = 0;
   // The precomputed hash column replaces process_edge's per-edge

@@ -63,12 +63,14 @@ class VertexProgram {
   // Processes one edge; returns true iff the destination value changed.
   virtual bool process_edge(const Edge& e) = 0;
 
-  // Processes one interval block, handed as contiguous src[]/dst[]/
-  // weight-hash columns (graph/edge_columns.hpp), in block order;
-  // returns how many of its edges changed their destination. When
-  // `changed` is non-null it must be indexable by every destination id
-  // in the block; the entry of each changed destination is set to 1
-  // (entries are never cleared — the frontier walk owns the reset).
+  // Processes one interval block, handed as contiguous src[]/dst[]
+  // columns (graph/edge_columns.hpp; weighted programs fetch the
+  // weight-hash column once per block with block.weight_hash()), in
+  // block order; returns how many of its edges changed their
+  // destination. When `changed` is non-null it must be indexable by
+  // every destination id in the block; the entry of each changed
+  // destination is set to 1 (entries are never cleared — the frontier
+  // walk owns the reset).
   // Concrete programs override this with a tight non-virtual loop — one
   // virtual call per block instead of one per edge — and must stay
   // result-equivalent to this per-edge reference, which the

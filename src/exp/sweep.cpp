@@ -106,6 +106,7 @@ ResultSink::ResultSink(std::ostream& os, Format format, bool annotate_graph)
 }
 
 void ResultSink::write(const SweepCell& cell, const RunReport& report) {
+  const obs::HostSpan host_span("report.write");
   RunReport annotated = report;
   if (annotate_graph_ && format_ == Format::kJsonl)
     annotated.config_label += "@" + cell.graph_key;
@@ -132,9 +133,9 @@ namespace {
 
 // By default glibc gives each worker thread a malloc arena of its own, and
 // memory freed into an arena stays resident for that arena alone to
-// reuse. The graph images, schedules and transposes a sweep frees would
-// then strand in whichever arena built them, so a run's peak RSS would
-// depend on which worker happened to build what. One arena for the whole
+// reuse. The graph images and schedules a sweep frees would then strand
+// in whichever arena built them, so a run's peak RSS would depend on
+// which worker happened to build what. One arena for the whole
 // process lets every worker reuse what any cell freed.
 void share_one_malloc_arena() {
 #if defined(__GLIBC__)

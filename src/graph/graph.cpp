@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/edge_columns.hpp"
+#include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -45,6 +46,7 @@ std::uint32_t Graph::edge_weight(const Edge& e, std::uint32_t max_weight) {
 }
 
 Graph Graph::hashed_remap(std::uint64_t seed) const {
+  const obs::HostSpan host_span("graph.remap");
   std::vector<VertexId> perm(num_vertices_);
   std::iota(perm.begin(), perm.end(), VertexId{0});
   Rng rng(seed);

@@ -11,6 +11,7 @@
 #include "graph/blocked_format.hpp"
 #include "graph/blocked_reader.hpp"
 #include "graph/graph_source.hpp"
+#include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -80,6 +81,7 @@ void save_edge_list_text(const Graph& g, const std::string& path) {
 }
 
 Graph load_graph_binary(const std::string& path) {
+  const obs::HostSpan host_span("graph.load");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw FileError("cannot open " + path);
   std::uint64_t magic = 0;

@@ -97,7 +97,8 @@ void Partitioning::build(const GraphSource& source) {
                                       << source.num_vertices());
 
   // Counting sort of edges by block index: one streamed pass to count,
-  // one to place. Only the grouped output vector is ever resident.
+  // one to place straight into the src/dst columns, which are all that
+  // is ever resident.
   const std::uint64_t blocks = num_blocks();
   offsets_.assign(blocks + 1, 0);
   source.for_each_chunk([&](std::span<const Edge> chunk) {
@@ -106,12 +107,16 @@ void Partitioning::build(const GraphSource& source) {
   });
   for (std::uint64_t b = 0; b < blocks; ++b) offsets_[b + 1] += offsets_[b];
 
-  edges_.resize(source.num_edges());
+  std::vector<VertexId> src(source.num_edges());
+  std::vector<VertexId> dst(source.num_edges());
   std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
   source.for_each_chunk([&](std::span<const Edge> chunk) {
-    for (const Edge& e : chunk)
-      edges_[cursor[block_index(interval_of(e.src), interval_of(e.dst))]++] =
-          e;
+    for (const Edge& e : chunk) {
+      const std::uint64_t at =
+          cursor[block_index(interval_of(e.src), interval_of(e.dst))]++;
+      src[at] = e.src;
+      dst[at] = e.dst;
+    }
   });
 
   // Replication: one pass over the grouped (block-major) edges with a
@@ -126,7 +131,7 @@ void Partitioning::build(const GraphSource& source) {
   for (std::uint64_t b = 0; b < blocks; ++b) {
     const std::uint64_t stamp = b + 1;  // 0 = untouched
     for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-      for (const VertexId endpoint : {edges_[i].src, edges_[i].dst}) {
+      for (const VertexId endpoint : {src[i], dst[i]}) {
         const std::uint64_t last = last_block[endpoint];
         touched += last == 0;
         copies += last != stamp;
@@ -135,6 +140,8 @@ void Partitioning::build(const GraphSource& source) {
     }
   }
   replication_ = {copies, touched};
+  columns_ =
+      std::make_shared<const EdgeColumns>(std::move(src), std::move(dst));
 }
 
 namespace {
@@ -166,27 +173,15 @@ std::uint64_t Partitioning::non_empty_blocks() const {
   return count;
 }
 
-const EdgeColumns& Partitioning::edge_columns() const {
-  // Hot path: block() lands here once per block per pass, so a
-  // published transpose is one acquire load away. First callers (sweep
-  // workers racing into the same cached partitioning) serialise on the
-  // lock and share one transpose, published with a release store.
-  if (const EdgeColumns* columns =
-          lazy_->columns_ptr.load(std::memory_order_acquire))
-    return *columns;
-  const std::lock_guard<std::mutex> lock(lazy_->mu);
-  if (lazy_->columns == nullptr) {
-    const obs::HostSpan host_span("partition.soa_transpose");
-    lazy_->columns = std::make_shared<const EdgeColumns>(std::span(edges_));
-    lazy_->columns_ptr.store(lazy_->columns.get(), std::memory_order_release);
-  }
-  return *lazy_->columns;
+const std::vector<Edge>& Partitioning::grouped_edges() const {
+  static const std::vector<Edge> none;
+  return none;
 }
 
 EdgeBlockSoA Partitioning::block(std::uint32_t x, std::uint32_t y) const {
   HYVE_CHECK(x < num_intervals() && y < num_intervals());
   const std::uint64_t b = block_index(x, y);
-  return edge_columns().view(offsets_[b], offsets_[b + 1] - offsets_[b]);
+  return columns_->view(offsets_[b], offsets_[b + 1] - offsets_[b]);
 }
 
 const SourceBlockIndex& Partitioning::source_block_index() const {
@@ -202,12 +197,13 @@ const SourceBlockIndex& Partitioning::source_block_index() const {
     // (source, block) pair is distinct per block: stamping a vertex with
     // the block id dedupes repeated sources. Two passes — count rows,
     // then place — and block-major order makes every row sorted by y.
+    const VertexId* const sources = columns_->all().src;
     const std::uint64_t no_block = ~std::uint64_t{0};
     std::vector<std::uint64_t> stamp(map_.num_vertices(), no_block);
     index->offsets.assign(map_.num_vertices() + std::size_t{1}, 0);
     for (std::uint64_t b = 0; b < num_blocks(); ++b) {
       for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-        const VertexId src = edges_[i].src;
+        const VertexId src = sources[i];
         if (stamp[src] == b) continue;
         stamp[src] = b;
         ++index->offsets[src + 1];
@@ -223,7 +219,7 @@ const SourceBlockIndex& Partitioning::source_block_index() const {
     for (std::uint64_t b = 0; b < num_blocks(); ++b) {
       const auto y = static_cast<std::uint32_t>(b % p);
       for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-        const VertexId src = edges_[i].src;
+        const VertexId src = sources[i];
         if (stamp[src] == b) continue;
         stamp[src] = b;
         index->intervals[cursor[src]++] = y;
@@ -237,16 +233,14 @@ const SourceBlockIndex& Partitioning::source_block_index() const {
 
 std::size_t Partitioning::lazy_bytes() const {
   const std::lock_guard<std::mutex> lock(lazy_->mu);
-  std::size_t bytes = 0;
-  if (lazy_->columns != nullptr) bytes += lazy_->columns->approx_bytes();
+  std::size_t bytes = columns_->approx_bytes();
   if (lazy_->index != nullptr) bytes += lazy_->index->approx_bytes();
   return bytes;
 }
 
 std::size_t Partitioning::resident_bytes() const {
-  return edges_.capacity() * sizeof(Edge) +
-         offsets_.capacity() * sizeof(std::uint64_t) +
-         map_.resident_bytes() + lazy_bytes();
+  return offsets_.capacity() * sizeof(std::uint64_t) + map_.resident_bytes() +
+         lazy_bytes();
 }
 
 }  // namespace hyve

@@ -4,8 +4,9 @@
 // P^2 blocks where B[x][y] holds the edges whose source lies in I_x and
 // destination in I_y. HyVE streams edges block by block so vertex
 // accesses stay inside the two intervals currently resident in on-chip
-// SRAM; kernels receive each block as an EdgeBlockSoA column view
-// (graph/edge_columns.hpp).
+// SRAM. The build's counting sort writes the edges block-major straight
+// into src/dst columns (graph/edge_columns.hpp), and kernels receive
+// each block as an EdgeBlockSoA view over them.
 //
 // The vertex→interval assignment is an explicit VertexMap, not the
 // historical implicit `v / interval_width` contract: the interval-block
@@ -125,7 +126,7 @@ class Partitioning {
 
   std::uint32_t num_intervals() const { return map_.num_intervals(); }
   VertexId num_vertices() const { return map_.num_vertices(); }
-  std::uint64_t num_edges() const { return edges_.size(); }
+  std::uint64_t num_edges() const { return columns_->size(); }
   std::uint64_t num_blocks() const {
     return static_cast<std::uint64_t>(num_intervals()) * num_intervals();
   }
@@ -148,7 +149,7 @@ class Partitioning {
   }
 
   // Edges of block B[x][y] (source interval x, destination interval y),
-  // as a view over edge_columns(); the first call pays the transpose.
+  // as a view over edge_columns().
   EdgeBlockSoA block(std::uint32_t x, std::uint32_t y) const;
   std::uint64_t block_edge_count(std::uint32_t x, std::uint32_t y) const;
 
@@ -165,29 +166,30 @@ class Partitioning {
   };
   const Replication& replication() const { return replication_; }
 
-  // All edges, grouped contiguously in block-major (x, then y) order:
-  // the build's output, from which the columns are transposed. Its only
-  // reader outside this class is perfbench's bytes-per-edge metric;
-  // kernels and tests stream block(x, y).
-  const std::vector<Edge>& grouped_edges() const { return edges_; }
+  // Compatibility accessor, always empty: the build writes columns, not
+  // Edge pairs. perfbench's bytes-per-edge metric still reads
+  // grouped_edges().capacity() * sizeof(Edge) + lazy_bytes(), which is
+  // therefore exactly the edge-image bytes; it goes once perfbench reads
+  // resident_bytes().
+  const std::vector<Edge>& grouped_edges() const;
 
-  // Column image of grouped_edges() (same order), transposed lazily on
-  // first use and shared by copies of this partitioning, so one graph
-  // image pays the O(E) transpose once per schedule no matter how many
-  // sweep cells stream it. Valid for this partitioning's lifetime.
+  // All edges in block-major (x, then y) order, as the build wrote them;
+  // shared by copies of this partitioning. The weight-hash column is
+  // built on first use (EdgeColumns::weight_hash), so only schedules
+  // that a weighted program streams hold it.
+  const EdgeColumns& edge_columns() const { return *columns_; }
+
+  // Built on first use and shared by copies of this partitioning.
   // Thread-safe.
-  const EdgeColumns& edge_columns() const;
-
-  // Lazily built, shared and thread-safe like edge_columns().
   const SourceBlockIndex& source_block_index() const;
 
-  // Bytes of the lazily built column/index images currently resident (0
-  // before first use). PartitionCache does not count them: its budget is
-  // an entry cap.
+  // Bytes of the edge images currently resident: the src/dst columns,
+  // plus the weight-hash column and the source-block index once built.
+  // PartitionCache does not count them: its budget is an entry cap.
   std::size_t lazy_bytes() const;
 
-  // Every byte this schedule holds, whatever the layout: the grouped
-  // edges, the block offsets, the vertex map and lazy_bytes().
+  // Every byte this schedule holds: the block offsets, the vertex map
+  // and lazy_bytes().
   std::size_t resident_bytes() const;
 
  private:
@@ -199,16 +201,12 @@ class Partitioning {
   // constructor; the caller holds the partition.build host span.
   void build(const GraphSource& source);
 
-  // Lazily built derived images, shared across copies (the grouped edge
-  // layout they derive from is identical in every copy). Built once
-  // under `mu`; the atomics publish the finished images so the per-block
-  // hot paths (block() in every functional pass) cost one acquire load
-  // instead of a mutex round trip.
+  // The source-block index, shared across copies (the columns it
+  // derives from are). Built once under `mu`; the atomic publishes the
+  // finished index so later calls cost one acquire load.
   struct Lazy {
     std::mutex mu;
-    std::shared_ptr<const EdgeColumns> columns;
     std::shared_ptr<const SourceBlockIndex> index;
-    std::atomic<const EdgeColumns*> columns_ptr{nullptr};
     std::atomic<const SourceBlockIndex*> index_ptr{nullptr};
   };
 
@@ -217,8 +215,8 @@ class Partitioning {
   }
 
   VertexMap map_;
-  std::vector<Edge> edges_;
-  std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into edges_
+  std::shared_ptr<const EdgeColumns> columns_;  // set by build()
+  std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into columns_
   Replication replication_;
   std::shared_ptr<Lazy> lazy_ = std::make_shared<Lazy>();
 };

@@ -13,8 +13,10 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/report_io.hpp"
@@ -131,6 +133,54 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
   engine.run(spec, options);
   EXPECT_EQ(graphs.builds(), 4u);
   EXPECT_EQ(partitions.builds(), first);
+}
+
+TEST(SweepEngine, OnlyWeightedProgramsBuildAWeightColumn) {
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  exp::PartitionCache partitions;
+  exp::SweepEngine engine(graphs, partitions);
+  const HyveConfig config = HyveConfig::hyve_opt();
+  exp::SweepSpec spec;
+  spec.configs = {config};
+  spec.algorithms = {Algorithm::kBfs, Algorithm::kCc, Algorithm::kPageRank};
+  spec.graphs = {"g1", "g2"};
+  engine.run(spec);
+
+  std::vector<std::pair<std::string, Algorithm>> cells;
+  for (const std::string& key : spec.graphs)
+    for (const Algorithm algorithm : spec.algorithms)
+      cells.emplace_back(key, algorithm);
+  // Visits every cached schedule by re-acquiring each cell's the way
+  // run_cached does (hits only), and counts those holding a weight-hash
+  // column.
+  const auto weighted_schedules = [&] {
+    const std::size_t builds = partitions.builds();
+    std::set<const Partitioning*> schedules;
+    std::size_t weighted = 0;
+    for (const auto& [key, algorithm] : cells) {
+      const std::shared_ptr<const Graph> graph =
+          graphs.acquire_balanced(key, config.hash_balance_seed);
+      const std::uint32_t p = HyveMachine(config).choose_num_intervals(
+          *graph, make_program(algorithm)->vertex_value_bytes());
+      const std::shared_ptr<const Partitioning> schedule = partitions.acquire(
+          exp::GraphCache::balanced_key(key, config.hash_balance_seed), *graph,
+          p);
+      if (schedules.insert(schedule.get()).second &&
+          schedule->edge_columns().has_weight_hash())
+        ++weighted;
+    }
+    EXPECT_EQ(partitions.builds(), builds);
+    EXPECT_EQ(partitions.resident(), schedules.size());
+    return weighted;
+  };
+  EXPECT_EQ(weighted_schedules(), 0u);
+
+  spec.algorithms = {Algorithm::kSssp};
+  spec.graphs = {"g1"};
+  engine.run(spec);
+  cells.emplace_back("g1", Algorithm::kSssp);
+  EXPECT_EQ(weighted_schedules(), 1u);
 }
 
 TEST(SweepEngine, GraphCacheBuildsOnceUnderConcurrency) {

@@ -89,15 +89,27 @@ TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {
   for (const auto& c : cases) {
     EXPECT_EQ(c.map.resident_bytes(), c.map_bytes);
     const Partitioning part(g, c.map);
-    const std::size_t eager = part.num_edges() * sizeof(Edge) +
+    const std::size_t e = part.num_edges();
+    // The build leaves the src/dst columns (8 B/edge), the block offsets
+    // and the map, and nothing else.
+    const std::size_t columns = e * 2 * sizeof(VertexId);
+    const std::size_t built = columns +
                               (part.num_blocks() + 1) * sizeof(std::uint64_t) +
                               c.map_bytes;
-    EXPECT_EQ(part.lazy_bytes(), 0u);
-    EXPECT_EQ(part.resident_bytes(), eager);
-    part.edge_columns();
-    part.source_block_index();
-    EXPECT_GT(part.lazy_bytes(), 0u);
-    EXPECT_EQ(part.resident_bytes(), eager + part.lazy_bytes());
+    EXPECT_EQ(part.lazy_bytes(), columns);
+    EXPECT_EQ(part.resident_bytes(), built);
+    // The weight-hash column adds 8 B/edge on first use, once.
+    part.edge_columns().weight_hash();
+    part.edge_columns().weight_hash();
+    const std::size_t weighted = built + e * sizeof(std::uint64_t);
+    EXPECT_EQ(part.resident_bytes(), weighted);
+    const std::size_t index = part.source_block_index().approx_bytes();
+    EXPECT_EQ(part.resident_bytes(), weighted + index);
+    // perfbench's bytes-per-edge formula reads exactly the edge images.
+    EXPECT_TRUE(part.grouped_edges().empty());
+    EXPECT_EQ(part.grouped_edges().capacity() * sizeof(Edge) +
+                  part.lazy_bytes(),
+              columns + e * sizeof(std::uint64_t) + index);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -76,7 +77,11 @@ int run_metrics_census() {
   fs::create_directories(dir);
 
   // Graph generation: host.span.rmat.generate, host.count.rmat_edges.
+  // A disk-cache round trip: host.span.graph.load.
   Graph tiny = generate_rmat(512, 2048, {}, 1);
+  const std::string cached = (dir / "census.bin").string();
+  save_graph_binary(tiny, cached);
+  tiny = load_graph_binary(cached);
 
   // Out-of-core streaming load through a deliberately tiny window over
   // many small blocks so faults AND evictions happen: the sim.ooc.*
@@ -96,7 +101,7 @@ int run_metrics_census() {
   // strategy on the tiny graph: sim.pipeline/dram/reram/memctl/bpg/
   // partition.*, exp.sweep.*, exp.*_cache.* (per-strategy suffixes
   // included), host.span.machine.* / partition.build / partition.stats /
-  // sweep.cell.
+  // graph.remap / sweep.cell / report.write.
   exp::GraphCache graphs;
   exp::PartitionCache partitions;
   graphs.add("census", std::move(tiny));
@@ -110,16 +115,19 @@ int run_metrics_census() {
   exp::SweepEngine engine(graphs, partitions);
   exp::SweepOptions options;
   options.jobs = 1;
-  engine.run(spec, options);
+  std::ostringstream records;
+  exp::ResultSink sink(records, exp::ResultSink::Format::kJsonl);
+  engine.run(spec, options, &sink);
 
-  // One frontier-mode run so the pattern-reuse tallies register:
-  // sim.kernel.blocks_skipped / edges_skipped.
+  // Frontier-mode BFS and SSSP runs: the pattern-reuse tallies
+  // (sim.kernel.blocks_skipped / edges_skipped) and the weight column a
+  // weighted program builds on first use (edge_columns.weight_hash).
   {
     exp::SweepSpec frontier_spec;
     HyveConfig frontier_config = HyveConfig::hyve_opt();
     frontier_config.frontier_block_skipping = true;
     frontier_spec.configs = {frontier_config};
-    frontier_spec.algorithms = {Algorithm::kBfs};
+    frontier_spec.algorithms = {Algorithm::kBfs, Algorithm::kSssp};
     frontier_spec.graphs = {"census"};
     engine.run(frontier_spec, options);
   }
