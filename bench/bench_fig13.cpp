@@ -3,6 +3,7 @@
 // reference steps cost read energy, so SLC wins — the design decision of
 // §7.2.1.
 #include <iostream>
+#include <string>
 
 #include "bench/common.hpp"
 
@@ -17,6 +18,7 @@ int main(int argc, char** argv) {
   for (const int bits : {1, 2, 3}) {
     HyveConfig cfg = HyveConfig::hyve_opt();
     cfg.reram.cell_bits = bits;
+    cfg.label += "/" + std::to_string(bits) + "-bit cells";
     spec.configs.push_back(cfg);
   }
   spec.algorithms = {Algorithm::kBfs};

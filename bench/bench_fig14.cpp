@@ -19,8 +19,10 @@ int main(int argc, char** argv) {
 
   HyveConfig with = HyveConfig::hyve_opt();
   with.power_gating = false;  // isolate the sharing effect (Table 4)
+  with.label += "/PG off";
   HyveConfig without = with;
   without.data_sharing = false;
+  without.label += "/sharing off";
 
   exp::SweepSpec spec;
   spec.configs = {without, with};

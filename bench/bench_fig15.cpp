@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const HyveConfig gated = HyveConfig::hyve_opt();
   HyveConfig ungated = gated;
   ungated.power_gating = false;
+  ungated.label += "/PG off";
 
   exp::SweepSpec spec;
   spec.configs = {ungated, gated};

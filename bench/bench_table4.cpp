@@ -7,6 +7,7 @@
 // off-chip traffic), sharing and power gating help everywhere, and PR
 // benefits most from sharing (widest vertex record).
 #include <iostream>
+#include <string>
 
 #include "bench/common.hpp"
 
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
       cfg.sram_bytes_per_pu = size;
       cfg.power_gating = v.power_gating;
       cfg.data_sharing = v.sharing;
-      cfg.label = v.name;
+      cfg.label = std::string(v.name) + ", " +
+                  std::to_string(size / units::MiB(1)) + "MB";
       spec.configs.push_back(cfg);
     }
   }

@@ -34,6 +34,7 @@
 
 #include "core/bench_json.hpp"
 #include "core/machine.hpp"
+#include "core/report_io.hpp"
 #include "exp/cache.hpp"
 #include "exp/run_session.hpp"
 #include "exp/sweep.hpp"
@@ -124,7 +125,10 @@ struct JsonReport {
   // worker scheduling, the reports themselves do not — and the metrics
   // rollup keeps only sim.* instruments (simulated counts; exp.* mixes
   // in wall clock and eviction order). This is what lets the bench-json
-  // CI step byte-diff --jobs 1 against --jobs 8.
+  // CI step byte-diff --jobs 1 against --jobs 8. Only a cell computed
+  // twice may repeat a key: two different reports under one key throw,
+  // since keeping either would drop a run (the bench must give its cells
+  // distinct config labels).
   void write() const {
     BenchReportDoc doc;
     doc.bench = bench;
@@ -145,10 +149,16 @@ struct JsonReport {
               [&](const BenchRun& a, const BenchRun& b) {
                 return key(a) < key(b);
               });
-    doc.runs.erase(std::unique(doc.runs.begin(), doc.runs.end(),
-                               [&](const BenchRun& a, const BenchRun& b) {
-                                 return key(a) == key(b);
-                               }),
+    const auto same_cell = [&](const BenchRun& a, const BenchRun& b) {
+      if (key(a) != key(b)) return false;
+      if (report_to_json(a.report) != report_to_json(b.report))
+        throw std::runtime_error(
+            bench + ": two different runs share config \"" +
+            a.report.config_label + "\", algorithm " + a.report.algorithm +
+            " and graph " + a.graph_key + "; give the cells distinct labels");
+      return true;
+    };
+    doc.runs.erase(std::unique(doc.runs.begin(), doc.runs.end(), same_cell),
                    doc.runs.end());
     for (const BenchRun& run : doc.runs) doc.ledger_rollup += run.report.ledger;
     // The host section is the one wall-clock corner of the report —

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build, full test suite (unit + bench-smoke), an
-# observability smoke run (--metrics/--trace on a tiny graph), a
-# bench-json smoke run (--json + hyve_report --check/--compare, byte-
-# diffed across --jobs), a functional-cache smoke run (the always-on
+# Tier-1 verification: build, full test suite (unit + bench-smoke), a
+# prefetch guard (the dynamic store's hot loops keep their prefetch
+# instructions), an observability smoke run (--metrics/--trace on a tiny
+# graph), a bench-json smoke run (--json + hyve_report --check/--compare,
+# byte-diffed across --jobs), a functional-cache smoke run (the always-on
 # memo must hit and stay byte-identical across --jobs), an out-of-core
 # smoke run (blocked graph streamed under --ooc-window-mb, byte-diffed
 # against the in-memory run), a live-telemetry smoke run (--live-status snapshots,
@@ -20,6 +21,21 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+# prefetch-guard: the dynamic store's build and request loops overlap
+# their cache misses with prefetch hints. GCC deletes every call to an
+# out-of-line function whose only effect is a prefetch, and no test can
+# see that, so check the object code: both functions must hold prefetch
+# instructions.
+prefetch_fns=$(objdump -d -C --no-show-raw-insn \
+  build/src/dynamic/libhyve_dynamic.a |
+  awk '/^[0-9a-f]+ <.*>:$/ { fn = $0 } /^ *[0-9a-f]+:\tprefetch/ { print fn }')
+for fn in 'hyve::apply_requests(' 'hyve::DynamicGraphStore::DynamicGraphStore('
+do
+  printf '%s\n' "$prefetch_fns" | grep -qF "<$fn" ||
+    { echo "prefetch-guard: no prefetch instruction in $fn...)" >&2; exit 1; }
+done
+echo "prefetch-guard: OK"
 
 # obs-smoke: a traced, metered run must produce a non-empty registry
 # dump and a trace with events; both outputs are asserted, not just the
@@ -65,6 +81,17 @@ strip_host "$obs_dir/bench_j1.json" > "$obs_dir/bench_j1.nohost"
 strip_host "$obs_dir/bench_j8.json" > "$obs_dir/bench_j8.nohost"
 cmp "$obs_dir/bench_j1.nohost" "$obs_dir/bench_j8.nohost" ||
   { echo "bench-json: --jobs 1 and --jobs 8 reports differ" >&2; exit 1; }
+# bench_ablation's eleven cells all run one dataset and algorithm, so its
+# report is the one that loses runs when two cells share a config label.
+for jobs in 1 8; do
+  ./build/bench/bench_ablation --smoke --datasets YT --jobs "$jobs" \
+    --json "$obs_dir/ablation_j$jobs.json" >/dev/null 2>&1 ||
+    { echo "bench-json: bench_ablation --jobs $jobs failed" >&2; exit 1; }
+  strip_host "$obs_dir/ablation_j$jobs.json" > "$obs_dir/ablation_j$jobs.nohost"
+done
+cmp "$obs_dir/ablation_j1.nohost" "$obs_dir/ablation_j8.nohost" ||
+  { echo "bench-json: bench_ablation --jobs 1 and --jobs 8 reports differ" >&2
+    exit 1; }
 ./build/tools/hyve_report --compare "$obs_dir/bench_j1.json" \
   "$obs_dir/bench_j8.json" >/dev/null ||
   { echo "bench-json: identical reports flagged as regressed" >&2; exit 1; }

@@ -32,25 +32,33 @@ DynamicGraphStore::DynamicGraphStore(const Graph& initial,
 
   // Initial placement with per-block slack reservation (one-shot
   // preprocessing; not counted in preprocess_count_), as a counting sort.
-  // Pass 1 counts each block's edges.
+  // Pass 1 finds each edge's block and counts each block's edges.
   const std::vector<Edge>& edges = initial.edges();
+  const auto edge_block_key = [&](std::size_t i) {
+    return block_key(edges[i]);
+  };
+  std::vector<std::uint32_t> block_of(edges.size());
   if (options_.hashed_block_directory) {
     // The edges touch at most this many blocks.
     const auto blocks = static_cast<std::size_t>(std::min<std::uint64_t>(
         edges.size(), static_cast<std::uint64_t>(grid_) * grid_));
     directory_ = FlatTable(blocks);
     blocks_.reserve(blocks);
+    // A new block key takes the directory's size, which is the number of
+    // blocks before it: blocks are numbered in first-touch order, as
+    // block_index() numbers the ones requests create.
+    directory_.find_or_insert_all(edges.size(), edge_block_key,
+                                  block_of.data());
+    blocks_.resize(directory_.size());
   } else {
     const std::uint64_t blocks = static_cast<std::uint64_t>(grid_) * grid_;
     HYVE_CHECK_MSG(blocks <= kMax32,
                    grid_ << "^2 blocks cannot be indexed directly");
     blocks_.resize(blocks);
+    for (std::size_t i = 0; i < edges.size(); ++i)
+      block_of[i] = static_cast<std::uint32_t>(edge_block_key(i));
   }
-  std::vector<std::uint32_t> block_of(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    block_of[i] = block_index(edges[i]);
-    ++blocks_[block_of[i]].size;
-  }
+  for (const std::uint32_t b : block_of) ++blocks_[b].size;
 
   // Pass 2 lays the blocks out back to back, each with its slack.
   const double slack = options_.slack;
@@ -73,21 +81,20 @@ DynamicGraphStore::DynamicGraphStore(const Graph& initial,
   arena_.reserve(placed + placed / 2);
   arena_.resize(placed);
 
-  // Pass 3 scatters the edges stably, in input order, and records each
-  // one's slot in the locator.
+  // Pass 3 scatters the edges stably, in input order, and turns block_of
+  // into each edge's slot within its block. Then the locator records
+  // every slot, in input order too.
   locator_ = FlatTable(
       static_cast<std::size_t>(std::ceil(edges.size() * (1.0 + slack))));
   for (std::size_t i = 0; i < edges.size(); ++i) {
     Block& b = blocks_[block_of[i]];
     arena_[b.offset + b.size] = edges[i];
-    locator_.insert(pack(edges[i]), b.size++);
+    block_of[i] = b.size++;
   }
+  locator_.insert_all(
+      edges.size(), [&](std::size_t i) { return pack(edges[i]); },
+      [&](std::size_t i) { return block_of[i]; });
   num_edges_ = edges.size();
-}
-
-std::uint64_t DynamicGraphStore::block_key(Edge e) const {
-  return static_cast<std::uint64_t>(vmap_.interval_of(e.src)) * grid_ +
-         vmap_.interval_of(e.dst);
 }
 
 std::uint32_t DynamicGraphStore::block_index(Edge e) {

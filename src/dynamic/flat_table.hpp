@@ -10,10 +10,17 @@
 // are no tombstones and churn never lengthens probes. Duplicate keys are
 // allowed: insert never looks for an existing entry, and lookups return
 // the first match along the run.
+//
+// Bulk loading: insert_all and find_or_insert_all take a whole batch and
+// overlap its cache misses by hinting each key's home bucket a few keys
+// ahead. They still insert in batch order and grow at the same points as
+// the per-key calls, so they leave the table bucket for bucket as those
+// calls would.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -37,17 +44,22 @@ class FlatTable {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return keys_.size(); }
 
+  // How many keys ahead the bulk loops, and the store's request loop,
+  // hint a home bucket into cache.
+  static constexpr std::size_t kPrefetchDistance = 16;
+
   // The bucket a key's probe run starts from.
   std::size_t home(std::uint64_t key) const {
-    // fmix64 from MurmurHash3, then Lemire's multiply-shift range
-    // reduction onto any capacity.
-    key ^= key >> 33;
-    key *= 0xFF51AFD7ED558CCDULL;
-    key ^= key >> 33;
-    key *= 0xC4CEB9FE1A85EC53ULL;
-    key ^= key >> 33;
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(key) * keys_.size()) >> 64);
+    return home_in(key, keys_.size());
+  }
+
+  // Hints key's home bucket into cache ahead of a probe. Always inlined:
+  // GCC counts a prefetch as free of side effects, so it deletes every
+  // call to an out-of-line function that does nothing else.
+  [[gnu::always_inline]] void prefetch(std::uint64_t key) const {
+    const std::size_t i = home(key);
+    __builtin_prefetch(keys_.data() + i);
+    __builtin_prefetch(values_.data() + i);
   }
 
   // Adds the entry; entries already holding `key` stay.
@@ -73,6 +85,51 @@ class FlatTable {
       ++size_;
     }
     return values_[i];
+  }
+
+  // insert(key_at(i), value_at(i)) for i = 0 .. n-1, in that order.
+  template <typename KeyAt, typename ValueAt>
+  void insert_all(std::size_t n, KeyAt key_at, ValueAt value_at) {
+    Buckets b = buckets();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchDistance < n) b.prefetch(key_at(i + kPrefetchDistance));
+      const std::uint64_t key = key_at(i);
+      HYVE_CHECK(key != kEmptyKey);
+      if (size_ == limit_) {
+        grow();
+        b = buckets();
+      }
+      std::size_t j = b.home(key);
+      while (b.keys[j] != kEmptyKey) j = b.next(j);
+      b.keys[j] = key;
+      b.values[j] = value_at(i);
+      ++size_;
+    }
+  }
+
+  // out[i] = find_or_insert(key_at(i), size()) for i = 0 .. n-1, in that
+  // order: a new key's value counts the distinct keys before it, so the
+  // values number the keys in first-touch order.
+  template <typename KeyAt>
+  void find_or_insert_all(std::size_t n, KeyAt key_at, std::uint32_t* out) {
+    Buckets b = buckets();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchDistance < n) b.prefetch(key_at(i + kPrefetchDistance));
+      const std::uint64_t key = key_at(i);
+      HYVE_CHECK(key != kEmptyKey);
+      if (size_ == limit_) {
+        grow();
+        b = buckets();
+      }
+      std::size_t j = b.home(key);
+      while (b.keys[j] != kEmptyKey && b.keys[j] != key) j = b.next(j);
+      if (b.keys[j] == kEmptyKey) {
+        HYVE_CHECK(size_ < std::numeric_limits<std::uint32_t>::max());
+        b.keys[j] = key;
+        b.values[j] = static_cast<std::uint32_t>(size_++);
+      }
+      out[i] = b.values[j];
+    }
   }
 
   // The value of the entry (key, value) itself, for rewriting it in
@@ -101,7 +158,45 @@ class FlatTable {
     return true;
   }
 
+  // Bucket for bucket: the same capacity and the same entry in every
+  // bucket.
+  bool operator==(const FlatTable&) const = default;
+
  private:
+  static std::size_t home_in(std::uint64_t key, std::size_t capacity) {
+    // fmix64 from MurmurHash3, then Lemire's multiply-shift range
+    // reduction onto any capacity.
+    key ^= key >> 33;
+    key *= 0xFF51AFD7ED558CCDULL;
+    key ^= key >> 33;
+    key *= 0xC4CEB9FE1A85EC53ULL;
+    key ^= key >> 33;
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(key) * capacity) >> 64);
+  }
+
+  // The bucket arrays and capacity as plain values, which the bulk loops
+  // keep in registers. Read through the vectors they would be reloaded
+  // every iteration, because the loops may call grow().
+  struct Buckets {
+    std::uint64_t* keys;
+    std::uint32_t* values;
+    std::size_t capacity;
+
+    std::size_t home(std::uint64_t key) const {
+      return home_in(key, capacity);
+    }
+    std::size_t next(std::size_t i) const {
+      return i + 1 == capacity ? 0 : i + 1;
+    }
+    [[gnu::always_inline]] void prefetch(std::uint64_t key) const {
+      const std::size_t i = home(key);
+      __builtin_prefetch(keys + i);
+      __builtin_prefetch(values + i);
+    }
+  };
+  Buckets buckets() { return {keys_.data(), values_.data(), keys_.size()}; }
+
   std::size_t next(std::size_t i) const {
     return i + 1 == keys_.size() ? 0 : i + 1;
   }

@@ -54,7 +54,17 @@ ThroughputResult apply_requests(DynamicGraphStore& store,
   const obs::HostSpan host_span("dynamic.apply");
   ThroughputResult result;
   const auto start = std::chrono::steady_clock::now();
-  for (const DynamicRequest& req : requests) {
+  const std::size_t n = requests.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    // Requests are independent, so the table probes of the edge request
+    // a few places ahead can be in flight while this one runs.
+    if (i + FlatTable::kPrefetchDistance < n) {
+      const DynamicRequest& ahead = requests[i + FlatTable::kPrefetchDistance];
+      if (ahead.type == DynamicRequestType::kAddEdge ||
+          ahead.type == DynamicRequestType::kDeleteEdge)
+        store.prefetch(ahead.edge);
+    }
+    const DynamicRequest& req = requests[i];
     switch (req.type) {
       case DynamicRequestType::kAddEdge:
         result.requests_applied += store.add_edge(req.edge) ? 1 : 0;

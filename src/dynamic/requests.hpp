@@ -33,9 +33,13 @@ struct DynamicRequestMix {
   double delete_vertex = 0.05;
 };
 
-// Deterministic request stream against `initial`: deletions target edges
-// actually present (sampled without replacement), insertions are fresh
-// random pairs.
+// Deterministic request stream against `initial`. Insertions are fresh
+// random pairs. Deletions take edges of `initial` by walking its edge
+// list at a fixed stride from a random start; that walk can revisit an
+// edge, so a delete may target an edge the stream already removed, and
+// the store refuses it. Vertex deletions pick random vertices of
+// `initial` and may repeat too. On YT, 33,398 of the 400,000 requests
+// bench_fig20 generates are such refusals.
 std::vector<DynamicRequest> generate_requests(const Graph& initial,
                                               std::uint64_t count,
                                               const DynamicRequestMix& mix,

@@ -4,7 +4,9 @@
 // from SweepEngine output. Runs under TSan via the sweep-engine label.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,6 +100,44 @@ TEST(GridResults, IndexesEngineResultsByAxis) {
   EXPECT_THROW(grid.at(2, 0, 0), InvariantError);
   EXPECT_THROW(grid.at(0, 2, 0), InvariantError);
   EXPECT_THROW(grid.at(0, 0, 1), InvariantError);
+}
+
+// The --json report keeps one run per (config, algorithm, graph). A cell
+// computed twice collapses to one run; two different cells under one key
+// (here: sharing on and off, both labelled acc+HyVE-opt) would lose a
+// run, so write() refuses them.
+TEST(JsonReport, KeepsRepeatedCellsOnceAndRejectsCollidingLabels) {
+  const std::string key = "bench_common_test_g1";
+  if (!bench::graph_cache().contains(key))
+    bench::graph_cache().add(key,
+                             [] { return generate_rmat(4000, 20000, {}, 5); });
+  HyveConfig unshared = HyveConfig::hyve_opt();
+  unshared.data_sharing = false;
+  const auto run = [&](const HyveConfig& cfg, Algorithm algo) {
+    return exp::run_cached(bench::graph_cache(), bench::partition_cache(),
+                           cfg, algo, key);
+  };
+  const RunReport bfs = run(HyveConfig::hyve_opt(), Algorithm::kBfs);
+  const RunReport pr = run(HyveConfig::hyve_opt(), Algorithm::kPageRank);
+  const RunReport unshared_bfs = run(unshared, Algorithm::kBfs);
+  ASSERT_EQ(unshared_bfs.config_label, bfs.config_label);
+  ASSERT_NE(report_to_json(unshared_bfs), report_to_json(bfs));
+
+  bench::JsonCollector& collector = bench::json_collector();
+  collector.enabled = true;
+  bench::JsonReport report;
+  report.bench = "bench_test";
+  report.path = ::testing::TempDir() + "bench_common_test_report.json";
+  report.started = std::chrono::steady_clock::now();
+  for (const RunReport* r : {&bfs, &pr, &bfs}) bench::record_report(key, *r);
+  report.write();
+  EXPECT_EQ(read_bench_report_file(report.path).runs.size(), 2u);
+
+  bench::record_report(key, unshared_bfs);
+  EXPECT_THROW(report.write(), std::runtime_error);
+  collector.runs.clear();
+  collector.enabled = false;
+  std::remove(report.path.c_str());
 }
 
 class BenchArgsDeathTest : public ::testing::Test {

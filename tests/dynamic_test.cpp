@@ -4,6 +4,9 @@
 #include <map>
 #include <ranges>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/requests.hpp"
@@ -15,6 +18,14 @@ namespace {
 DynamicGraphOptions hyve_options(std::uint32_t intervals = 8) {
   DynamicGraphOptions o;
   o.num_intervals = intervals;
+  return o;
+}
+
+// GraphR's 8x8-vertex blocks behind the hashed directory.
+DynamicGraphOptions graphr_options(const Graph& g) {
+  DynamicGraphOptions o;
+  o.num_intervals = (g.num_vertices() + 7) / 8;
+  o.hashed_block_directory = true;
   return o;
 }
 
@@ -152,12 +163,9 @@ TEST(DynamicGraph, SlackAccountingPinnedOnRequestStream) {
   // must reproduce them exactly.
   const Graph g = generate_rmat(20000, 100000, {}, 15);
   const auto reqs = generate_requests(g, 200000, {}, 17);
-  DynamicGraphOptions graphr;
-  graphr.num_intervals = (g.num_vertices() + 7) / 8;
-  graphr.hashed_block_directory = true;
 
   DynamicGraphStore hyve_store(g, hyve_options(16));
-  DynamicGraphStore graphr_store(g, graphr);
+  DynamicGraphStore graphr_store(g, graphr_options(g));
   apply_requests(hyve_store, reqs);
   apply_requests(graphr_store, reqs);
   EXPECT_EQ(hyve_store.num_edges(), 100500u);
@@ -168,6 +176,105 @@ TEST(DynamicGraph, SlackAccountingPinnedOnRequestStream) {
   // hashed directory reserves nothing for blocks it has not seen.
   EXPECT_EQ(graphr_store.overflow_chunks(), 86729u);
   EXPECT_EQ(graphr_store.preprocess_count(), 1u);
+}
+
+// ---------- exact store state ----------
+
+// Order-sensitive digest of a snapshot (FNV-1a over the packed edges):
+// it changes when the same edges come out in another order.
+std::uint64_t ordered_digest(const Graph& g) {
+  std::uint64_t h = 0xCBF29CE484222325ULL ^ g.num_vertices();
+  for (const Edge& e : g.edges()) {
+    h ^= (static_cast<std::uint64_t>(e.src) << 32) | e.dst;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// An R-MAT graph with its first 3,000 edges appended again, so the
+// locator holds many duplicate keys and the stream deletes parallel
+// edges: which copy a delete takes, and so which edge moves into the
+// freed slot, depends on the locator's bucket order.
+Graph parallel_edge_graph() {
+  const Graph base = generate_rmat(4000, 20000, {}, 23);
+  std::vector<Edge> edges = base.edges();
+  edges.insert(edges.end(), base.edges().begin(), base.edges().begin() + 3000);
+  return Graph(base.num_vertices(), std::move(edges));
+}
+
+struct PinnedState {
+  std::uint64_t built;     // ordered_digest after the build
+  std::uint64_t streamed;  // ... after the request stream
+  std::uint64_t overflow_chunks;
+  std::uint64_t preprocess_count;
+};
+
+// The stream adds about 1,500 vertices, past the 30% vertex slack, so it
+// also runs one rebuild.
+PinnedState observe(const Graph& g, const DynamicGraphOptions& options) {
+  DynamicGraphStore store(g, options);
+  PinnedState s{};
+  s.built = ordered_digest(store.snapshot());
+  apply_requests(store, generate_requests(g, 30000, {}, 29));
+  s.streamed = ordered_digest(store.snapshot());
+  s.overflow_chunks = store.overflow_chunks();
+  s.preprocess_count = store.preprocess_count();
+  return s;
+}
+
+// The arena's block order, the locator's buckets and the directory's
+// block numbering all show in these values: a build that reorders any of
+// them changes a digest.
+TEST(DynamicGraph, HyveLayoutStateIsPinned) {
+  const PinnedState s = observe(parallel_edge_graph(), hyve_options(16));
+  EXPECT_EQ(s.built, 14038661489542043775u);
+  EXPECT_EQ(s.streamed, 10436097306811089954u);
+  EXPECT_EQ(s.overflow_chunks, 683u);
+  EXPECT_EQ(s.preprocess_count, 1u);
+}
+
+TEST(DynamicGraph, GraphRLayoutStateIsPinned) {
+  const Graph g = parallel_edge_graph();
+  const PinnedState s = observe(g, graphr_options(g));
+  EXPECT_EQ(s.built, 347765985476959385u);
+  EXPECT_EQ(s.streamed, 6098539093479222554u);
+  EXPECT_EQ(s.overflow_chunks, 11695u);
+  EXPECT_EQ(s.preprocess_count, 1u);
+}
+
+bool apply_one(DynamicGraphStore& store, const DynamicRequest& req) {
+  switch (req.type) {
+    case DynamicRequestType::kAddEdge: return store.add_edge(req.edge);
+    case DynamicRequestType::kDeleteEdge: return store.delete_edge(req.edge);
+    case DynamicRequestType::kAddVertex: store.add_vertex(); return true;
+    case DynamicRequestType::kDeleteVertex:
+      return store.delete_vertex(req.vertex);
+  }
+  return false;
+}
+
+// apply_requests reads ahead of the request it applies; the store must
+// still end exactly where one request at a time leaves it, also for
+// streams shorter than the read-ahead.
+TEST(Requests, ApplyMatchesOneRequestAtATime) {
+  const Graph g = parallel_edge_graph();
+  const auto reqs = generate_requests(g, 30000, {}, 31);
+  for (const DynamicGraphOptions& options :
+       {hyve_options(16), graphr_options(g)}) {
+    for (const std::size_t n : {std::size_t{5}, reqs.size()}) {
+      const std::span<const DynamicRequest> stream(reqs.data(), n);
+      DynamicGraphStore bulk(g, options);
+      DynamicGraphStore single(g, options);
+      std::uint64_t accepted = 0;
+      for (const DynamicRequest& req : stream)
+        accepted += apply_one(single, req) ? 1 : 0;
+      EXPECT_EQ(apply_requests(bulk, stream).requests_applied, accepted);
+      EXPECT_EQ(bulk.snapshot().edges(), single.snapshot().edges());
+      EXPECT_EQ(bulk.num_vertices(), single.num_vertices());
+      EXPECT_EQ(bulk.overflow_chunks(), single.overflow_chunks());
+      EXPECT_EQ(bulk.preprocess_count(), single.preprocess_count());
+    }
+  }
 }
 
 // ---------- request streams ----------

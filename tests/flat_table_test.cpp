@@ -2,11 +2,13 @@
 // against std::unordered_multimap over long random operation sequences.
 // The tables stay small and keys come from a narrow range, so probe runs
 // wrap past the last bucket, backward-shift deletes cross the wrap, and
-// most keys carry several entries.
+// most keys carry several entries. The bulk paths are checked bucket for
+// bucket against loops of per-key calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dynamic/flat_table.hpp"
@@ -129,9 +131,110 @@ TEST(FlatTable, GrowsPastItsReservationAndKeepsEntries) {
   expect_same_entries(table, model);
 }
 
+// Also inside a batch, where the entries before the empty key stay.
 TEST(FlatTable, EmptyKeyIsRejected) {
   FlatTable table;
   EXPECT_THROW(table.insert(FlatTable::kEmptyKey, 0), InvariantError);
+
+  const std::vector<std::uint64_t> keys = {3, 9, FlatTable::kEmptyKey, 4};
+  const auto key_at = [&](std::size_t i) { return keys[i]; };
+  FlatTable inserted(8);
+  EXPECT_THROW(
+      inserted.insert_all(keys.size(), key_at,
+                          [](std::size_t) { return std::uint32_t{0}; }),
+      InvariantError);
+  EXPECT_EQ(inserted.size(), 2u);
+  FlatTable found(8);
+  std::vector<std::uint32_t> out(keys.size());
+  EXPECT_THROW(found.find_or_insert_all(keys.size(), key_at, out.data()),
+               InvariantError);
+  EXPECT_EQ(found.size(), 2u);
+}
+
+// ---------- bulk paths ----------
+
+// Batches for the bulk paths, each run on a table built with room for
+// `expected` entries. Keys homed at the last bucket make probe runs
+// wrap; repeated keys exercise duplicates; a batch past FlatTable(4)'s
+// reservation makes grow() fire mid-batch.
+struct Batch {
+  const char* name;
+  std::size_t expected;
+  std::vector<std::uint64_t> keys;
+  bool grows = false;
+};
+
+std::vector<Batch> bulk_batches() {
+  std::vector<Batch> batches;
+  {
+    const FlatTable probe(64);
+    Batch wrap{"wrapping runs", 64, {}};
+    for (std::uint64_t key = 0; wrap.keys.size() < 6; ++key)
+      if (probe.home(key) == probe.capacity() - 1) wrap.keys.push_back(key);
+    for (std::uint64_t key = 1000; key < 1030; ++key) wrap.keys.push_back(key);
+    batches.push_back(std::move(wrap));
+  }
+  {
+    Batch dup{"duplicate keys", 256, {}};
+    Rng rng(5);
+    for (int i = 0; i < 150; ++i) dup.keys.push_back(rng.next_below(40));
+    batches.push_back(std::move(dup));
+  }
+  {
+    Batch grow{"grows mid-batch", 4, {}, true};
+    Rng rng(6);
+    for (int i = 0; i < 500; ++i) grow.keys.push_back(rng.next_below(300));
+    batches.push_back(std::move(grow));
+  }
+  return batches;
+}
+
+TEST(FlatTable, InsertAllEqualsPerKeyInserts) {
+  for (const Batch& batch : bulk_batches()) {
+    SCOPED_TRACE(batch.name);
+    const std::vector<std::uint64_t>& keys = batch.keys;
+    FlatTable per_key(batch.expected);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      per_key.insert(keys[i], static_cast<std::uint32_t>(i));
+    FlatTable bulk(batch.expected);
+    bulk.insert_all(
+        keys.size(), [&](std::size_t i) { return keys[i]; },
+        [](std::size_t i) { return static_cast<std::uint32_t>(i); });
+    EXPECT_EQ(bulk.size(), keys.size());
+    EXPECT_EQ(bulk.capacity() > FlatTable(batch.expected).capacity(),
+              batch.grows);
+    EXPECT_TRUE(bulk == per_key);
+  }
+}
+
+TEST(FlatTable, FindOrInsertAllEqualsPerKeyLoop) {
+  for (const Batch& batch : bulk_batches()) {
+    SCOPED_TRACE(batch.name);
+    const std::vector<std::uint64_t>& keys = batch.keys;
+    FlatTable per_key(batch.expected);
+    std::vector<std::uint32_t> expected;
+    for (const std::uint64_t key : keys)
+      expected.push_back(per_key.find_or_insert(
+          key, static_cast<std::uint32_t>(per_key.size())));
+    FlatTable bulk(batch.expected);
+    std::vector<std::uint32_t> out(keys.size());
+    bulk.find_or_insert_all(
+        keys.size(), [&](std::size_t i) { return keys[i]; }, out.data());
+    EXPECT_EQ(out, expected);
+    EXPECT_EQ(bulk.capacity() > FlatTable(batch.expected).capacity(),
+              batch.grows);
+    EXPECT_TRUE(bulk == per_key);
+
+    // The values number the distinct keys in first-touch order.
+    std::vector<std::uint64_t> first_touch;
+    for (const std::uint64_t key : keys)
+      if (std::find(first_touch.begin(), first_touch.end(), key) ==
+          first_touch.end())
+        first_touch.push_back(key);
+    ASSERT_EQ(bulk.size(), first_touch.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      EXPECT_EQ(first_touch[out[i]], keys[i]) << "key " << i;
+  }
 }
 
 }  // namespace
