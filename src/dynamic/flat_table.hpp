@@ -13,9 +13,9 @@
 //
 // Bulk loading: insert_all and find_or_insert_all take a whole batch and
 // overlap its cache misses by hinting each key's home bucket a few keys
-// ahead. They still insert in batch order and grow at the same points as
-// the per-key calls, so they leave the table bucket for bucket as those
-// calls would.
+// ahead. Each key then takes the same insert step as a per-key call, in
+// batch order, so a batch leaves the table bucket for bucket as a loop
+// of per-key calls would.
 #pragma once
 
 #include <cstddef>
@@ -49,42 +49,26 @@ class FlatTable {
   static constexpr std::size_t kPrefetchDistance = 16;
 
   // The bucket a key's probe run starts from.
-  std::size_t home(std::uint64_t key) const {
-    return home_in(key, keys_.size());
-  }
+  std::size_t home(std::uint64_t key) const { return buckets().home(key); }
 
   // Hints key's home bucket into cache ahead of a probe. Always inlined:
   // GCC counts a prefetch as free of side effects, so it deletes every
   // call to an out-of-line function that does nothing else.
   [[gnu::always_inline]] void prefetch(std::uint64_t key) const {
-    const std::size_t i = home(key);
-    __builtin_prefetch(keys_.data() + i);
-    __builtin_prefetch(values_.data() + i);
+    buckets().prefetch(key);
   }
 
   // Adds the entry; entries already holding `key` stay.
   void insert(std::uint64_t key, std::uint32_t value) {
-    HYVE_CHECK(key != kEmptyKey);
-    if (size_ == limit_) grow();
-    std::size_t i = home(key);
-    while (keys_[i] != kEmptyKey) i = next(i);
-    keys_[i] = key;
-    values_[i] = value;
-    ++size_;
+    Buckets b = buckets();
+    insert(b, key, value);
   }
 
   // The value of an entry with `key` when there is one; otherwise adds
   // (key, value) and returns `value`.
   std::uint32_t find_or_insert(std::uint64_t key, std::uint32_t value) {
-    HYVE_CHECK(key != kEmptyKey);
-    if (size_ == limit_) grow();
-    const std::size_t i = locate(key, [](std::uint32_t) { return true; });
-    if (keys_[i] == kEmptyKey) {
-      keys_[i] = key;
-      values_[i] = value;
-      ++size_;
-    }
-    return values_[i];
+    Buckets b = buckets();
+    return find_or_insert(b, key, value);
   }
 
   // insert(key_at(i), value_at(i)) for i = 0 .. n-1, in that order.
@@ -93,42 +77,21 @@ class FlatTable {
     Buckets b = buckets();
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kPrefetchDistance < n) b.prefetch(key_at(i + kPrefetchDistance));
-      const std::uint64_t key = key_at(i);
-      HYVE_CHECK(key != kEmptyKey);
-      if (size_ == limit_) {
-        grow();
-        b = buckets();
-      }
-      std::size_t j = b.home(key);
-      while (b.keys[j] != kEmptyKey) j = b.next(j);
-      b.keys[j] = key;
-      b.values[j] = value_at(i);
-      ++size_;
+      insert(b, key_at(i), value_at(i));
     }
   }
 
   // out[i] = find_or_insert(key_at(i), size()) for i = 0 .. n-1, in that
   // order: a new key's value counts the distinct keys before it, so the
-  // values number the keys in first-touch order.
+  // values number the keys in first-touch order. Throws once the table
+  // holds 2^32 - 1 keys, when size() no longer fits a value.
   template <typename KeyAt>
   void find_or_insert_all(std::size_t n, KeyAt key_at, std::uint32_t* out) {
     Buckets b = buckets();
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kPrefetchDistance < n) b.prefetch(key_at(i + kPrefetchDistance));
-      const std::uint64_t key = key_at(i);
-      HYVE_CHECK(key != kEmptyKey);
-      if (size_ == limit_) {
-        grow();
-        b = buckets();
-      }
-      std::size_t j = b.home(key);
-      while (b.keys[j] != kEmptyKey && b.keys[j] != key) j = b.next(j);
-      if (b.keys[j] == kEmptyKey) {
-        HYVE_CHECK(size_ < std::numeric_limits<std::uint32_t>::max());
-        b.keys[j] = key;
-        b.values[j] = static_cast<std::uint32_t>(size_++);
-      }
-      out[i] = b.values[j];
+      HYVE_CHECK(size_ < std::numeric_limits<std::uint32_t>::max());
+      out[i] = find_or_insert(b, key_at(i), static_cast<std::uint32_t>(size_));
     }
   }
 
@@ -136,13 +99,14 @@ class FlatTable {
   // place; nullptr when there is no such entry.
   std::uint32_t* find(std::uint64_t key, std::uint32_t value) {
     const std::size_t i =
-        locate(key, [value](std::uint32_t v) { return v == value; });
+        buckets().locate(key, [value](std::uint32_t v) { return v == value; });
     return keys_[i] == kEmptyKey ? nullptr : &values_[i];
   }
 
   // Removes one entry with `key` and returns its value.
   std::optional<std::uint32_t> erase(std::uint64_t key) {
-    const std::size_t i = locate(key, [](std::uint32_t) { return true; });
+    const std::size_t i =
+        buckets().locate(key, [](std::uint32_t) { return true; });
     if (keys_[i] == kEmptyKey) return std::nullopt;
     const std::uint32_t value = values_[i];
     erase_at(i);
@@ -152,83 +116,119 @@ class FlatTable {
   // Removes the entry (key, value); false when there is none.
   bool erase(std::uint64_t key, std::uint32_t value) {
     const std::size_t i =
-        locate(key, [value](std::uint32_t v) { return v == value; });
+        buckets().locate(key, [value](std::uint32_t v) { return v == value; });
     if (keys_[i] == kEmptyKey) return false;
     erase_at(i);
     return true;
   }
 
-  // Bucket for bucket: the same capacity and the same entry in every
-  // bucket.
-  bool operator==(const FlatTable&) const = default;
+  // Bucket for bucket: the same capacity, and the same entry in every
+  // occupied bucket. A free bucket may keep the value of an erased entry;
+  // that value does not count.
+  bool operator==(const FlatTable& other) const;
 
  private:
-  static std::size_t home_in(std::uint64_t key, std::size_t capacity) {
-    // fmix64 from MurmurHash3, then Lemire's multiply-shift range
-    // reduction onto any capacity.
-    key ^= key >> 33;
-    key *= 0xFF51AFD7ED558CCDULL;
-    key ^= key >> 33;
-    key *= 0xC4CEB9FE1A85EC53ULL;
-    key ^= key >> 33;
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(key) * capacity) >> 64);
-  }
-
-  // The bucket arrays and capacity as plain values, which the bulk loops
-  // keep in registers. Read through the vectors they would be reloaded
-  // every iteration, because the loops may call grow().
+  // The bucket arrays and capacity as plain values. Every probe runs
+  // through this view, and the bulk loops keep it in registers: read
+  // through the vectors, the arrays would be reloaded every iteration,
+  // because the loops may call grow().
   struct Buckets {
     std::uint64_t* keys;
     std::uint32_t* values;
     std::size_t capacity;
 
     std::size_t home(std::uint64_t key) const {
-      return home_in(key, capacity);
+      // fmix64 from MurmurHash3, then Lemire's multiply-shift range
+      // reduction onto any capacity.
+      key ^= key >> 33;
+      key *= 0xFF51AFD7ED558CCDULL;
+      key ^= key >> 33;
+      key *= 0xC4CEB9FE1A85EC53ULL;
+      key ^= key >> 33;
+      return static_cast<std::size_t>(
+          (static_cast<unsigned __int128>(key) * capacity) >> 64);
     }
+
     std::size_t next(std::size_t i) const {
       return i + 1 == capacity ? 0 : i + 1;
     }
+
+    // Buckets from `from` forward to `to`, wrapping past the end.
+    std::size_t distance(std::size_t from, std::size_t to) const {
+      return to >= from ? to - from : to + capacity - from;
+    }
+
     [[gnu::always_inline]] void prefetch(std::uint64_t key) const {
       const std::size_t i = home(key);
       __builtin_prefetch(keys + i);
       __builtin_prefetch(values + i);
     }
-  };
-  Buckets buckets() { return {keys_.data(), values_.data(), keys_.size()}; }
 
-  std::size_t next(std::size_t i) const {
-    return i + 1 == keys_.size() ? 0 : i + 1;
+    // The first bucket of key's run holding `key` with a value `accept`s,
+    // or the free bucket that ends the run.
+    template <typename Accept>
+    std::size_t locate(std::uint64_t key, Accept accept) const {
+      std::size_t i = home(key);
+      while (keys[i] != kEmptyKey && !(keys[i] == key && accept(values[i])))
+        i = next(i);
+      return i;
+    }
+  };
+
+  // The view of this table. Its pointers are mutable so that one type
+  // serves every member; const members only read through them.
+  Buckets buckets() const {
+    return {const_cast<std::uint64_t*>(keys_.data()),
+            const_cast<std::uint32_t*>(values_.data()), keys_.size()};
   }
 
-  // The first bucket of key's run holding `key` with a value `accept`s,
-  // or the free bucket that ends the run.
-  template <typename Accept>
-  std::size_t locate(std::uint64_t key, Accept accept) const {
-    std::size_t i = home(key);
-    while (keys_[i] != kEmptyKey && !(keys_[i] == key && accept(values_[i])))
-      i = next(i);
-    return i;
+  // The steps behind the per-key calls and the bulk loops. Growing
+  // re-points `b` at the new arrays.
+  [[gnu::always_inline]] void insert(Buckets& b, std::uint64_t key,
+                                     std::uint32_t value) {
+    HYVE_CHECK(key != kEmptyKey);
+    if (size_ == limit_) {
+      grow();
+      b = buckets();
+    }
+    std::size_t i = b.home(key);
+    while (b.keys[i] != kEmptyKey) i = b.next(i);
+    b.keys[i] = key;
+    b.values[i] = value;
+    ++size_;
+  }
+
+  [[gnu::always_inline]] std::uint32_t find_or_insert(Buckets& b,
+                                                      std::uint64_t key,
+                                                      std::uint32_t value) {
+    HYVE_CHECK(key != kEmptyKey);
+    if (size_ == limit_) {
+      grow();
+      b = buckets();
+    }
+    const std::size_t i = b.locate(key, [](std::uint32_t) { return true; });
+    if (b.keys[i] == kEmptyKey) {
+      b.keys[i] = key;
+      b.values[i] = value;
+      ++size_;
+    }
+    return b.values[i];
   }
 
   // Empties bucket `hole`, then walks the rest of its run and moves back
   // every entry whose probe path crosses the hole (its home does not lie
   // strictly between the hole and the entry).
   void erase_at(std::size_t hole) {
-    for (std::size_t i = next(hole); keys_[i] != kEmptyKey; i = next(i)) {
-      if (distance(home(keys_[i]), i) >= distance(hole, i)) {
-        keys_[hole] = keys_[i];
-        values_[hole] = values_[i];
+    const Buckets b = buckets();
+    for (std::size_t i = b.next(hole); b.keys[i] != kEmptyKey; i = b.next(i)) {
+      if (b.distance(b.home(b.keys[i]), i) >= b.distance(hole, i)) {
+        b.keys[hole] = b.keys[i];
+        b.values[hole] = b.values[i];
         hole = i;
       }
     }
-    keys_[hole] = kEmptyKey;
+    b.keys[hole] = kEmptyKey;
     --size_;
-  }
-
-  // Buckets from `from` forward to `to`, wrapping past the end.
-  std::size_t distance(std::size_t from, std::size_t to) const {
-    return to >= from ? to - from : to + keys_.size() - from;
   }
 
   // Rehashes into twice the capacity (out of line: inserts stay small

@@ -151,6 +151,24 @@ TEST(FlatTable, EmptyKeyIsRejected) {
   EXPECT_EQ(found.size(), 2u);
 }
 
+// An erase leaves its value in the freed bucket; equality ignores it.
+TEST(FlatTable, EqualityComparesOccupiedBucketsOnly) {
+  FlatTable erased(8);
+  erased.insert(1, 10);
+  erased.insert(2, 20);
+  ASSERT_TRUE(erased.erase(2, 20));
+  FlatTable fresh(8);
+  fresh.insert(1, 10);
+  EXPECT_TRUE(erased == fresh);
+
+  FlatTable other_value(8);
+  other_value.insert(1, 11);
+  EXPECT_FALSE(erased == other_value);
+  FlatTable other_capacity(64);
+  other_capacity.insert(1, 10);
+  EXPECT_FALSE(erased == other_capacity);
+}
+
 // ---------- bulk paths ----------
 
 // Batches for the bulk paths, each run on a table built with room for
