@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -61,16 +62,9 @@ inline exp::PartitionCache& partition_cache() {
   return cache;
 }
 
-// Functional-phase memo for run_dataset's one-off cells (run_grid's
-// SweepEngine memoises per sweep on its own): cells that differ only in
-// memory technology run the vertex program once.
-inline exp::FunctionalCache& functional_cache() {
-  static exp::FunctionalCache cache;
-  return cache;
-}
-
-// The engine behind run_grid, on the shared caches; its functional
-// counts add up over every grid the bench runs.
+// The engine behind run_grid, on the shared caches. Its functional memo
+// also serves run_dataset and whole_graph_functional, so every cell the
+// bench runs shares one.
 inline exp::SweepEngine& sweep_engine() {
   static exp::SweepEngine engine(graph_cache(), partition_cache());
   return engine;
@@ -217,13 +211,9 @@ struct Options {
   // guarantee (wall times and eviction order depend on worker
   // scheduling). Call at the end of main().
   void finish() const {
-    if (cache_stats) {
-      exp::MemoStats functional = functional_cache().stats();
-      functional.hits += sweep_engine().functional_hits();
-      functional.builds += sweep_engine().functional_builds();
+    if (cache_stats)
       exp::print_cache_stats(std::cerr, graph_cache(), partition_cache(),
-                             functional);
-    }
+                             sweep_engine().functional());
     session.finish();
   }
 };
@@ -334,12 +324,33 @@ inline RunReport run_dataset(const HyveConfig& cfg, DatasetId id,
   HyveConfig cell_cfg = cfg;
   if (!partitioner_spec().is_default())
     cell_cfg.set_partitioner(partitioner_spec());
-  RunReport report = exp::run_cached(graph_cache(), partition_cache(),
-                                     cell_cfg, algo, dataset_name(id),
-                                     /*trace=*/nullptr, /*trace_pid=*/1,
-                                     &functional_cache());
+  RunReport report =
+      exp::run_cached(graph_cache(), partition_cache(),
+                      sweep_engine().functional(), cell_cfg, algo,
+                      dataset_name(id));
   record_report(dataset_name(id), report);
   return report;
+}
+
+// The whole-graph pass the CPU and GraphR baselines price, memoised over
+// the dataset's P = 1 schedule under the key an unbalanced, dense, P = 1
+// HyVE cell would use; equals run_functional(dataset_graph(id), program).
+inline FunctionalResult whole_graph_functional(DatasetId id, Algorithm algo) {
+  const std::string key = dataset_name(id);
+  const auto program = make_program(algo);
+  const auto build = [&] {
+    const std::shared_ptr<const Graph> graph = graph_cache().acquire(key);
+    const std::shared_ptr<const Partitioning> schedule =
+        partition_cache().acquire(key, *graph, 1);
+    return FunctionalOutcome{run_functional(*graph, *program, *schedule),
+                             std::nullopt, 1};
+  };
+  return sweep_engine()
+      .functional()
+      .acquire({key, program->name(), "interval", 1, false,
+                pattern_reuse_enabled()},
+               build)
+      ->result;
 }
 
 // The --datasets filter as GraphCache keys, for SweepSpec::graphs.
@@ -435,6 +446,26 @@ inline void paper_note(const std::string& note) {
 
 inline void measured_note(const std::string& note) {
   std::cout << "measured: " << note << "\n";
+}
+
+// A verdict computed from a bench's (algorithm, dataset) cells:
+// "<claim> in k of n (algorithm, dataset) cells (fails: ...), so
+// \"<paper>\" holds" (or "does not hold" when any cell fails).
+inline std::string cell_verdict(const std::string& claim,
+                                std::size_t num_cells,
+                                const std::vector<std::string>& failing,
+                                const std::string& paper) {
+  std::ostringstream os;
+  os << claim << " in " << num_cells - failing.size() << " of " << num_cells
+     << " (algorithm, dataset) cells";
+  if (!failing.empty()) {
+    os << " (fails:";
+    for (const std::string& cell : failing) os << ' ' << cell;
+    os << ')';
+  }
+  os << ", so \"" << paper << "\" "
+     << (failing.empty() ? "holds" : "does not hold");
+  return os.str();
 }
 
 // Geometric mean of ratios (the paper's "on average" improvements).

@@ -49,27 +49,17 @@ std::optional<Algorithm> parse_algorithm(const std::string& name) {
 }
 
 FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
-                                const Partitioning* schedule) {
+                                const Partitioning& schedule) {
   program.init(graph);
   FunctionalResult result;
 
-  // The schedule's columns are its build's output, shared across every
-  // run of the same partitioning; the schedule-less path streams the
-  // graph's own memoized columns, in edge-list order.
-  std::shared_ptr<const EdgeColumns> whole_graph;
-  if (schedule == nullptr) whole_graph = graph.edge_columns_shared();
-
   auto run_pass = [&] {
-    if (schedule != nullptr) {
-      const std::uint32_t p = schedule->num_intervals();
-      // Column-major (destination-major) scan, the Algorithm 2 order.
-      for (std::uint32_t y = 0; y < p; ++y) {
-        for (std::uint32_t x = 0; x < p; ++x)
-          result.destination_writes +=
-              program.process_block(schedule->block(x, y));
-      }
-    } else {
-      result.destination_writes += program.process_block(whole_graph->all());
+    const std::uint32_t p = schedule.num_intervals();
+    // Column-major (destination-major) scan, the Algorithm 2 order.
+    for (std::uint32_t y = 0; y < p; ++y) {
+      for (std::uint32_t x = 0; x < p; ++x)
+        result.destination_writes +=
+            program.process_block(schedule.block(x, y));
     }
     result.edges_traversed += graph.num_edges();
   };
@@ -85,6 +75,10 @@ FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
     more = program.end_iteration(result.iterations);
   }
   return result;
+}
+
+FunctionalResult run_functional(const Graph& graph, VertexProgram& program) {
+  return run_functional(graph, program, Partitioning(graph, 1));
 }
 
 }  // namespace hyve

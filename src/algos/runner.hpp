@@ -4,8 +4,8 @@
 // for real (actual ranks, distances, labels — verified against reference
 // implementations in the tests) and reports the iteration/traversal
 // counts that the architectural accounting in src/core multiplies with
-// the technology models. Edges are visited in interval-block order when a
-// Partitioning is supplied, matching the hardware's schedule.
+// the technology models. Edges are visited block by block in a
+// Partitioning's interval-block order, matching the hardware's schedule.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +39,13 @@ struct FunctionalResult {
   std::uint64_t destination_writes = 0; // process_edge() returned true
 };
 
-// Runs `program` to convergence (or its max_iterations cap). If
-// `schedule` is non-null, edges are visited block by block in the
-// interval-block scan order; otherwise in edge-list order.
+// Runs `program` to convergence (or its max_iterations cap), visiting
+// `schedule`'s blocks in the destination-major scan order of Algorithm 2.
 FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
-                                const Partitioning* schedule = nullptr);
+                                const Partitioning& schedule);
+
+// A whole-graph run: over Partitioning(graph, 1), whose one block is the
+// edge list in input order.
+FunctionalResult run_functional(const Graph& graph, VertexProgram& program);
 
 }  // namespace hyve

@@ -16,23 +16,25 @@ std::string CpuModel::label(CpuBaseline kind) {
   return kind == CpuBaseline::kNaive ? "CPU+DRAM" : "CPU+DRAM-opt";
 }
 
-CpuReport CpuModel::run(const Graph& graph, Algorithm algorithm) const {
-  const auto program = make_program(algorithm);
-  const FunctionalResult functional = run_functional(graph, *program);
-
+CpuReport CpuModel::run(Algorithm algorithm,
+                        const FunctionalResult& whole_graph) const {
   CpuReport report;
   report.config_label = label(kind_);
   report.algorithm = algorithm_name(algorithm);
-  report.iterations = functional.iterations;
-  report.edges_traversed = functional.edges_traversed;
+  report.iterations = whole_graph.iterations;
+  report.edges_traversed = whole_graph.edges_traversed;
 
   const double ns_per_edge =
       kind_ == CpuBaseline::kNaive ? kCpuNaiveNsPerEdge : kCpuOptNsPerEdge;
   report.exec_time_ns =
-      static_cast<double>(functional.edges_traversed) * ns_per_edge;
+      static_cast<double>(whole_graph.edges_traversed) * ns_per_edge;
   report.energy_pj = units::power_over(kCpuPackagePowerMw + kCpuDramPowerMw,
                                        report.exec_time_ns);
   return report;
+}
+
+CpuReport CpuModel::run(const Graph& graph, Algorithm algorithm) const {
+  return run(algorithm, run_functional(graph, *make_program(algorithm)));
 }
 
 }  // namespace hyve

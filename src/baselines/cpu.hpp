@@ -29,6 +29,9 @@ class CpuModel {
  public:
   explicit CpuModel(CpuBaseline kind) : kind_(kind) {}
 
+  // Prices a whole-graph run_functional pass of `algorithm`, which both
+  // CPU kinds can share. The second form computes the pass itself.
+  CpuReport run(Algorithm algorithm, const FunctionalResult& whole_graph) const;
   CpuReport run(const Graph& graph, Algorithm algorithm) const;
 
   static std::string label(CpuBaseline kind);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/stats.hpp"
 #include "memmodel/sram.hpp"
 #include "memmodel/techparams.hpp"
 #include "util/check.hpp"
@@ -32,22 +31,25 @@ constexpr std::uint32_t kEdgeBytes = 8;
 }  // namespace
 
 GraphRReport GraphRModel::run(const Graph& graph, Algorithm algorithm) const {
-  const auto program = make_program(algorithm);
-  const FunctionalResult functional = run_functional(graph, *program);
+  return run(graph, algorithm, run_functional(graph, *make_program(algorithm)),
+             block_occupancy(graph, kCrossbarDim));
+}
 
-  const BlockOccupancy occ = block_occupancy(graph, kCrossbarDim);
-
+GraphRReport GraphRModel::run(const Graph& graph, Algorithm algorithm,
+                              const FunctionalResult& whole_graph,
+                              const BlockOccupancy& occ) const {
   GraphRReport report;
   report.algorithm = algorithm_name(algorithm);
-  report.iterations = functional.iterations;
-  report.edges_traversed = functional.edges_traversed;
+  report.iterations = whole_graph.iterations;
+  report.edges_traversed = whole_graph.edges_traversed;
   report.non_empty_blocks = occ.non_empty_blocks;
   report.n_avg = occ.avg_edges_per_non_empty;
 
   const std::uint64_t e = graph.num_edges();
   const std::uint64_t neb = occ.non_empty_blocks;
   const double iters = report.iterations;
-  const std::uint32_t value_bytes = program->vertex_value_bytes();
+  const std::uint32_t value_bytes =
+      make_program(algorithm)->vertex_value_bytes();
 
   // ---- processing on crossbars (per iteration) ----
   // Configure: every edge of every non-empty block is written into a

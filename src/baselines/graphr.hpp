@@ -20,6 +20,7 @@
 
 #include "algos/runner.hpp"
 #include "graph/graph.hpp"
+#include "graph/stats.hpp"
 #include "memmodel/crossbar.hpp"
 #include "memmodel/dram.hpp"
 #include "memmodel/memtech.hpp"
@@ -56,6 +57,12 @@ class GraphRModel {
  public:
   explicit GraphRModel(GraphRConfig config = {});
 
+  // Prices a whole-graph run_functional pass of `algorithm` and `occ` =
+  // block_occupancy(graph, tech::kCrossbarDim), which callers compute
+  // once per graph. The second form computes both itself.
+  GraphRReport run(const Graph& graph, Algorithm algorithm,
+                   const FunctionalResult& whole_graph,
+                   const BlockOccupancy& occ) const;
   GraphRReport run(const Graph& graph, Algorithm algorithm) const;
 
   // Eq. 9: global sequential vertex loads per iteration.

@@ -107,38 +107,20 @@ RunReport HyveMachine::run(const Graph& graph, Algorithm algorithm,
 RunReport HyveMachine::run(const Graph& graph, VertexProgram& program,
                            obs::Trace* trace,
                            std::uint32_t trace_pid) const {
+  // Simulate the hash-balanced layout (§4.3): block populations even out
+  // across PUs, which the per-step synchronisation rewards. Sweeps
+  // memoise the remap through exp::GraphCache::acquire_balanced.
+  std::optional<Graph> balanced;
+  if (config_.hash_balance)
+    balanced = graph.hashed_remap(config_.hash_balance_seed);
+  const Graph& image = balanced.has_value() ? *balanced : graph;
   const std::uint32_t p =
-      choose_num_intervals(graph, program.vertex_value_bytes());
-  const auto partitioner = make_partitioner(config_.partitioner);
-  if (config_.hash_balance) {
-    // Simulate the hash-balanced layout (§4.3): block populations even
-    // out across PUs, which the per-step synchronisation rewards. Sweeps
-    // memoise the remap through exp::GraphCache::acquire_balanced.
-    const Graph balanced = graph.hashed_remap(config_.hash_balance_seed);
-    return run_with_schedule(balanced, partitioner->partition(balanced, p),
-                             program, trace, trace_pid);
-  }
-  return run_with_schedule(graph, partitioner->partition(graph, p), program,
-                           trace, trace_pid);
-}
-
-RunReport HyveMachine::run_with_schedule(const Graph& graph,
-                                         const Partitioning& schedule,
-                                         Algorithm algorithm,
-                                         obs::Trace* trace,
-                                         std::uint32_t trace_pid) const {
-  const auto program = make_program(algorithm);
-  return run_with_schedule(graph, schedule, *program, trace, trace_pid);
-}
-
-RunReport HyveMachine::run_with_schedule(const Graph& graph,
-                                         const Partitioning& schedule,
-                                         VertexProgram& program,
-                                         obs::Trace* trace,
-                                         std::uint32_t trace_pid) const {
+      choose_num_intervals(image, program.vertex_value_bytes());
+  const Partitioning schedule =
+      make_partitioner(config_.partitioner)->partition(image, p);
   const FunctionalOutcome functional =
-      run_functional_phase(graph, schedule, program);
-  return run_with_functional(graph, schedule, program, functional, trace,
+      run_functional_phase(image, schedule, program);
+  return run_with_functional(image, schedule, program, functional, trace,
                              trace_pid);
 }
 
@@ -165,7 +147,7 @@ FunctionalOutcome HyveMachine::run_functional_phase(
     outcome.frontier = run_frontier(graph, program, schedule);
     outcome.result = outcome.frontier->result;
   } else {
-    outcome.result = run_functional(graph, program, &schedule);
+    outcome.result = run_functional(graph, program, schedule);
   }
   return outcome;
 }

@@ -178,7 +178,7 @@ FunctionalCache::FunctionalCache()
 
 void print_cache_stats(std::ostream& os, const GraphCache& graphs,
                        const PartitionCache& partitions,
-                       const MemoStats& functional) {
+                       const FunctionalCache& functional) {
   const auto counts = [&os](const MemoStats& s) -> std::ostream& {
     return os << "hits=" << s.hits << " builds=" << s.builds
               << " evictions=" << s.evictions;
@@ -193,7 +193,7 @@ void print_cache_stats(std::ostream& os, const GraphCache& graphs,
     counts(stats) << "\n";
   }
   os << "functional cache: ";
-  counts(functional) << "\n";
+  counts(functional.stats()) << "\n";
 }
 
 }  // namespace hyve::exp

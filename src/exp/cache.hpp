@@ -14,7 +14,7 @@
 // All three count hits, builds and evictions (exp.<cache>.* in the
 // registry) plus one resident gauge each. GraphCache takes an optional
 // byte budget and PartitionCache an optional entry cap; the functional
-// cache is unbounded and lives for one SweepEngine::run().
+// cache is unbounded and lives as long as the SweepEngine that holds it.
 #pragma once
 
 #include <cstdint>
@@ -212,10 +212,9 @@ class FunctionalCache : public Memo<FunctionalKey, FunctionalOutcome> {
 };
 
 // The --cache-stats report: one line per cache plus the per-strategy
-// partition breakdown. `functional` sums the functional memos the run
-// used (SweepEngine::run owns one per call).
+// partition breakdown.
 void print_cache_stats(std::ostream& os, const GraphCache& graphs,
                        const PartitionCache& partitions,
-                       const MemoStats& functional);
+                       const FunctionalCache& functional);
 
 }  // namespace hyve::exp

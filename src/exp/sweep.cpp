@@ -53,9 +53,9 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
 }
 
 RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
-                     const HyveConfig& config, Algorithm algorithm,
-                     const std::string& graph_key, obs::Trace* trace,
-                     std::uint32_t trace_pid, FunctionalCache* functional) {
+                     FunctionalCache& functional, const HyveConfig& config,
+                     Algorithm algorithm, const std::string& graph_key,
+                     obs::Trace* trace, std::uint32_t trace_pid) {
   const HyveMachine machine(config);
   const auto program = make_program(algorithm);
   // Hold shared ownership for the whole run: under a cache size cap a
@@ -71,9 +71,6 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
       machine.choose_num_intervals(*graph, program->vertex_value_bytes());
   const std::shared_ptr<const Partitioning> schedule =
       partitions.acquire(schedule_key, *graph, p, config.partitioner);
-  if (functional == nullptr)
-    return machine.run_with_schedule(*graph, *schedule, *program, trace,
-                                     trace_pid);
   // schedule_key already identifies the graph image (balance seed
   // included); the partitioner, P and the frontier mode pin the rest of
   // the functional inputs, so memory-tech-only config changes share one
@@ -84,7 +81,7 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
                           config.frontier_block_skipping,
                           pattern_reuse_enabled()};
   const std::shared_ptr<const FunctionalOutcome> outcome =
-      functional->acquire(key, [&] {
+      functional.acquire(key, [&] {
         return machine.run_functional_phase(*graph, *schedule, *program);
       });
   return machine.run_with_functional(*graph, *schedule, *program, *outcome,
@@ -237,7 +234,6 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
   std::size_t flushed = 0;
 
   std::atomic<std::int64_t> in_flight{0};
-  FunctionalCache functional;
 
   parallel_cells(n, options.jobs, [&](std::size_t i) {
     const auto wall_start = std::chrono::steady_clock::now();
@@ -250,11 +246,10 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
     std::optional<RunReport> cell_report;
     {
       const obs::HostSpan host_span("sweep.cell");
-      cell_report = run_cached(graphs_, partitions_, cells[i].config,
-                               cells[i].algorithm, cells[i].graph_key,
-                               options.trace,
-                               static_cast<std::uint32_t>(i) + 1,
-                               &functional);
+      cell_report = run_cached(graphs_, partitions_, functional_,
+                               cells[i].config, cells[i].algorithm,
+                               cells[i].graph_key, options.trace,
+                               static_cast<std::uint32_t>(i) + 1);
     }
     RunReport report = std::move(*cell_report);
     if (obs::host_profiler().enabled()) {
@@ -286,8 +281,6 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
       ++flushed;
     }
   });
-  functional_.hits += functional.hits();
-  functional_.builds += functional.builds();
 
   std::vector<SweepResult> out;
   out.reserve(n);

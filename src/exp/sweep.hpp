@@ -5,10 +5,11 @@
 // SweepEngine runs its cells on a pool of worker threads pulling from an
 // atomic work queue, sharing one GraphCache/PartitionCache so each graph
 // is loaded, hash-balanced and partitioned once per sweep instead of
-// once per cell, and one FunctionalCache so each functional input runs
-// its vertex program once. Cell execution is deterministic and results
-// are handed to the ResultSink in cell order regardless of thread count,
-// so `--jobs 8` output is byte-identical to `--jobs 1`.
+// once per cell, and its own FunctionalCache so each functional input
+// runs its vertex program once per engine. Cell execution is
+// deterministic and results are handed to the ResultSink in cell order
+// regardless of thread count, so `--jobs 8` output is byte-identical to
+// `--jobs 1`.
 #pragma once
 
 #include <cstdint>
@@ -73,20 +74,18 @@ void parallel_cells(std::size_t n, int jobs,
                     const std::function<void(std::size_t)>& fn);
 
 // Runs one cell through the caches. Produces a report identical to
-// HyveMachine(config).run(graph, algorithm). When `trace` is non-null
-// the run's phase spans land on tracks of process `trace_pid` (the
-// engine uses one pid per cell so sweep traces stay disentangled).
-// When `functional` is non-null the functional phase is memoised
-// through it: cells that agree on (graph image, algorithm, partitioner,
-// P, frontier mode) — e.g. a sweep over memory technologies — run the
-// vertex program once and replay the outcome, with byte-identical
-// reports.
+// HyveMachine(config).run(graph, algorithm). The functional phase is
+// memoised through `functional`: cells that agree on (graph image,
+// algorithm, partitioner, P, frontier mode) — e.g. a sweep over memory
+// technologies — run the vertex program once and replay the outcome,
+// with byte-identical reports. When `trace` is non-null the run's phase
+// spans land on tracks of process `trace_pid` (the engine uses one pid
+// per cell so sweep traces stay disentangled).
 RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
-                     const HyveConfig& config, Algorithm algorithm,
-                     const std::string& graph_key,
+                     FunctionalCache& functional, const HyveConfig& config,
+                     Algorithm algorithm, const std::string& graph_key,
                      obs::Trace* trace = nullptr,
-                     std::uint32_t trace_pid = 1,
-                     FunctionalCache* functional = nullptr);
+                     std::uint32_t trace_pid = 1);
 
 // Thread-safe, order-stable record writer. The engine calls write() in
 // strict cell order; every record is round-tripped through
@@ -137,22 +136,21 @@ class SweepEngine {
   // Runs every cell of `spec` and returns the reports in cell order. If
   // `sink` is non-null each result is also written to it, in cell order,
   // as soon as its prefix is complete. Rethrows the first cell failure
-  // after the pool drains. Functional phases are memoised through a
-  // FunctionalCache that lives for this call (see run_cached()), so
-  // cells that differ only in memory technology run the vertex program
-  // once.
+  // after the pool drains. Functional phases are memoised through
+  // functional() (see run_cached()), so cells that differ only in memory
+  // technology run the vertex program once, in this run() or any other.
   std::vector<SweepResult> run(const SweepSpec& spec,
                                const SweepOptions& options = {},
                                ResultSink* sink = nullptr);
 
-  // Functional-memo hits and builds summed over every run() so far.
-  std::size_t functional_hits() const { return functional_.hits; }
-  std::size_t functional_builds() const { return functional_.builds; }
+  // The functional memo, held for the engine's lifetime; callers' own
+  // run_cached() cells may share it.
+  FunctionalCache& functional() { return functional_; }
 
  private:
   GraphCache& graphs_;
   PartitionCache& partitions_;
-  MemoStats functional_;
+  FunctionalCache functional_;
 };
 
 }  // namespace hyve::exp

@@ -7,19 +7,6 @@
 
 namespace hyve {
 
-EdgeColumns::EdgeColumns(std::span<const Edge> edges) {
-  src_.resize(edges.size());
-  dst_.resize(edges.size());
-  VertexId* const src = src_.data();
-  VertexId* const dst = dst_.data();
-  const Edge* const in = edges.data();
-  const std::size_t n = edges.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    src[i] = in[i].src;
-    dst[i] = in[i].dst;
-  }
-}
-
 EdgeColumns::EdgeColumns(std::vector<VertexId> src, std::vector<VertexId> dst)
     : src_(std::move(src)), dst_(std::move(dst)) {
   HYVE_CHECK_MSG(src_.size() == dst_.size(),

@@ -12,9 +12,9 @@
 // of every edge) is a third column built on first use, so schedules
 // that only BFS, CC and PageRank stream never hold it.
 //
-// Partitioning's counting sort writes its columns directly; a
-// whole-graph image is transposed once from Graph::edges() and cached
-// next to the graph (Graph::edge_columns_shared()).
+// Partitioning's counting sort writes the columns directly; it is their
+// only producer. A whole-graph run streams the P = 1 schedule's one
+// block, which holds the edges in input order (the sort is stable).
 #pragma once
 
 #include <atomic>
@@ -59,8 +59,6 @@ struct EdgeBlockSoA {
 class EdgeColumns {
  public:
   EdgeColumns() = default;
-  // Transposes an edge span, in the span's order.
-  explicit EdgeColumns(std::span<const Edge> edges);
   // Adopts columns built elsewhere (equal lengths, checked).
   EdgeColumns(std::vector<VertexId> src, std::vector<VertexId> dst);
 

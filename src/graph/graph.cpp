@@ -1,23 +1,14 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <numeric>
-#include <span>
 #include <utility>
 
-#include "graph/edge_columns.hpp"
 #include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hyve {
-
-// edge_columns_shared()'s once-cell, shared by copies of the graph.
-struct Graph::ColumnsCell {
-  std::mutex mu;
-  std::shared_ptr<const EdgeColumns> columns;
-};
 
 Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
     : num_vertices_(num_vertices), edges_(std::move(edges)) {
@@ -59,27 +50,6 @@ Graph Graph::hashed_remap(std::uint64_t seed) const {
   remapped.reserve(edges_.size());
   for (const Edge& e : edges_) remapped.push_back({perm[e.src], perm[e.dst]});
   return Graph(num_vertices_, std::move(remapped));
-}
-
-namespace {
-// The cell is created lazily on a const graph; a process-wide mutex
-// guards the (rare) creation so concurrent first calls don't race.
-std::mutex cell_create_mu;
-}  // namespace
-
-std::shared_ptr<const EdgeColumns> Graph::edge_columns_shared() const {
-  std::shared_ptr<ColumnsCell> cell;
-  {
-    const std::lock_guard<std::mutex> lock(cell_create_mu);
-    if (columns_ == nullptr) columns_ = std::make_shared<ColumnsCell>();
-    cell = columns_;
-  }
-  // Build under the cell lock so concurrent first callers share one
-  // O(E) transpose.
-  const std::lock_guard<std::mutex> lock(cell->mu);
-  if (cell->columns == nullptr)
-    cell->columns = std::make_shared<const EdgeColumns>(std::span(edges_));
-  return cell->columns;
 }
 
 Csr Csr::from_graph(const Graph& g) {

@@ -2,16 +2,14 @@
 //
 // HyVE is an edge-centric architecture (X-Stream model), so the edge list —
 // not an adjacency structure — is the primary representation; CSR views and
-// degree arrays are derived on demand where algorithms need them.
+// degree arrays are derived on demand where algorithms need them. Runs
+// stream a Partitioning's columns; a whole-graph run uses P = 1.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace hyve {
-
-class EdgeColumns;  // graph/edge_columns.hpp
 
 using VertexId = std::uint32_t;
 
@@ -63,20 +61,9 @@ class Graph {
   // interval populations before interval-block partitioning.
   Graph hashed_remap(std::uint64_t seed) const;
 
-  // Structure-of-arrays image of edges() (edge_columns.hpp), built
-  // lazily on first use: copies of this graph share one transpose. The
-  // schedule-less run_functional path streams it; scheduled runs use
-  // Partitioning::edge_columns() instead. Thread-safe.
-  std::shared_ptr<const EdgeColumns> edge_columns_shared() const;
-
  private:
-  struct ColumnsCell;
-
   VertexId num_vertices_ = 0;
   std::vector<Edge> edges_;
-  // Lazily created, shared across copies; never affects graph equality
-  // or semantics (the graph itself stays immutable).
-  mutable std::shared_ptr<ColumnsCell> columns_;
 };
 
 // Compressed sparse row view (by source vertex), built on demand.

@@ -158,7 +158,7 @@ TEST(PageRank, BlockScheduleGivesSameResult) {
   run_functional(g, a);
   PageRankProgram b(5);
   const Partitioning part(g, 10);
-  run_functional(g, b, &part);
+  run_functional(g, b, part);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(a.ranks()[v], b.ranks()[v], 1e-9);
 }

@@ -5,6 +5,7 @@
 #include "core/machine.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
+#include "memmodel/techparams.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -93,6 +94,45 @@ TEST(GraphR, RejectsBadConfig) {
   GraphRConfig c;
   c.parallel_crossbars = 0;
   EXPECT_THROW(GraphRModel{c}, InvariantError);
+}
+
+// ---------- pricing forms ----------
+
+// Benches price one whole-graph pass (and, for GraphR, one block
+// occupancy) per graph; the result must equal the one-liners that
+// compute their own inputs.
+TEST(Baselines, PricingFormsEqualTheirOneLiners) {
+  const Graph g = test_graph();
+  const BlockOccupancy occ = block_occupancy(g, tech::kCrossbarDim);
+  for (const Algorithm a : kAllAlgorithms) {
+    SCOPED_TRACE(algorithm_name(a));
+    const FunctionalResult whole_graph = run_functional(g, *make_program(a));
+
+    const GraphRReport priced = GraphRModel().run(g, a, whole_graph, occ);
+    const GraphRReport direct = GraphRModel().run(g, a);
+    EXPECT_EQ(priced.algorithm, direct.algorithm);
+    EXPECT_EQ(priced.iterations, direct.iterations);
+    EXPECT_EQ(priced.edges_traversed, direct.edges_traversed);
+    EXPECT_EQ(priced.non_empty_blocks, direct.non_empty_blocks);
+    EXPECT_EQ(priced.n_avg, direct.n_avg);
+    EXPECT_EQ(priced.exec_time_ns, direct.exec_time_ns);
+    for (std::size_t c = 0;
+         c < static_cast<std::size_t>(EnergyComponent::kCount); ++c)
+      EXPECT_EQ(priced.energy[static_cast<EnergyComponent>(c)],
+                direct.energy[static_cast<EnergyComponent>(c)]);
+
+    for (const CpuBaseline kind :
+         {CpuBaseline::kNaive, CpuBaseline::kOptimized}) {
+      const CpuReport cpu_priced = CpuModel(kind).run(a, whole_graph);
+      const CpuReport cpu_direct = CpuModel(kind).run(g, a);
+      EXPECT_EQ(cpu_priced.config_label, cpu_direct.config_label);
+      EXPECT_EQ(cpu_priced.algorithm, cpu_direct.algorithm);
+      EXPECT_EQ(cpu_priced.iterations, cpu_direct.iterations);
+      EXPECT_EQ(cpu_priced.edges_traversed, cpu_direct.edges_traversed);
+      EXPECT_EQ(cpu_priced.exec_time_ns, cpu_direct.exec_time_ns);
+      EXPECT_EQ(cpu_priced.energy_pj, cpu_direct.energy_pj);
+    }
+  }
 }
 
 // ---------- CPU ----------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/cpu.hpp"
 #include "bench/common.hpp"
 #include "core/report_io.hpp"
 #include "graph/generators.hpp"
@@ -86,20 +87,54 @@ TEST(GridResults, IndexesEngineResultsByAxis) {
   spec.graphs = {key};
   const bench::GridResults grid = bench::run_grid(spec, opts);
 
+  // A memo of its own, so each direct run computes its functional phase.
+  exp::FunctionalCache functional;
   for (std::size_t c = 0; c < spec.configs.size(); ++c) {
     for (std::size_t a = 0; a < spec.algorithms.size(); ++a) {
       const RunReport& r = grid.at(c, a, 0);
       EXPECT_EQ(r.config_label, spec.configs[c].label);
       EXPECT_EQ(r.algorithm, algorithm_name(spec.algorithms[a]));
       const RunReport direct = exp::run_cached(
-          bench::graph_cache(), bench::partition_cache(), spec.configs[c],
-          spec.algorithms[a], key);
+          bench::graph_cache(), bench::partition_cache(), functional,
+          spec.configs[c], spec.algorithms[a], key);
       EXPECT_EQ(report_to_json(r), report_to_json(direct));
     }
   }
   EXPECT_THROW(grid.at(2, 0, 0), InvariantError);
   EXPECT_THROW(grid.at(0, 2, 0), InvariantError);
   EXPECT_THROW(grid.at(0, 0, 1), InvariantError);
+}
+
+// The CPU and GraphR baselines price one whole-graph pass per (dataset,
+// algorithm): the second CPU kind hits the memo the first one filled,
+// and the memoised pass over the P = 1 schedule equals the plain
+// two-argument run_functional, so the reports equal the one-liners'.
+TEST(WholeGraphFunctional, BaselinesShareOneMemoisedPass) {
+  const DatasetId id = DatasetId::kYT;
+  const Graph& graph = dataset_graph(id);
+  const exp::FunctionalCache& memo = bench::sweep_engine().functional();
+  for (const Algorithm algo : kAllAlgorithms) {
+    SCOPED_TRACE(algorithm_name(algo));
+    const std::size_t builds = memo.builds();
+    const std::size_t hits = memo.hits();
+    for (const CpuBaseline kind :
+         {CpuBaseline::kNaive, CpuBaseline::kOptimized}) {
+      const CpuReport priced =
+          CpuModel(kind).run(algo, bench::whole_graph_functional(id, algo));
+      const CpuReport direct = CpuModel(kind).run(graph, algo);
+      EXPECT_EQ(priced.iterations, direct.iterations);
+      EXPECT_EQ(priced.edges_traversed, direct.edges_traversed);
+      EXPECT_EQ(priced.energy_pj, direct.energy_pj);
+    }
+    EXPECT_EQ(memo.builds(), builds + 1);
+    EXPECT_EQ(memo.hits(), hits + 1);
+
+    const FunctionalResult memoised = bench::whole_graph_functional(id, algo);
+    const FunctionalResult direct = run_functional(graph, *make_program(algo));
+    EXPECT_EQ(memoised.iterations, direct.iterations);
+    EXPECT_EQ(memoised.edges_traversed, direct.edges_traversed);
+    EXPECT_EQ(memoised.destination_writes, direct.destination_writes);
+  }
 }
 
 // The --json report keeps one run per (config, algorithm, graph). A cell
@@ -113,9 +148,10 @@ TEST(JsonReport, KeepsRepeatedCellsOnceAndRejectsCollidingLabels) {
                              [] { return generate_rmat(4000, 20000, {}, 5); });
   HyveConfig unshared = HyveConfig::hyve_opt();
   unshared.data_sharing = false;
+  exp::FunctionalCache functional;
   const auto run = [&](const HyveConfig& cfg, Algorithm algo) {
     return exp::run_cached(bench::graph_cache(), bench::partition_cache(),
-                           cfg, algo, key);
+                           functional, cfg, algo, key);
   };
   const RunReport bfs = run(HyveConfig::hyve_opt(), Algorithm::kBfs);
   const RunReport pr = run(HyveConfig::hyve_opt(), Algorithm::kPageRank);

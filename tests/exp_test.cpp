@@ -84,6 +84,7 @@ TEST(SweepEngine, CachedRunMatchesUncachedRun) {
   exp::GraphCache graphs;
   add_test_graphs(graphs);
   exp::PartitionCache partitions;
+  exp::FunctionalCache functional;
 
   std::vector<HyveConfig> configs = {HyveConfig::hyve_opt(),
                                      HyveConfig::hyve(),
@@ -100,7 +101,7 @@ TEST(SweepEngine, CachedRunMatchesUncachedRun) {
   for (const HyveConfig& cfg : configs) {
     for (const Algorithm algo : {Algorithm::kBfs, Algorithm::kPageRank}) {
       const RunReport cached =
-          exp::run_cached(graphs, partitions, cfg, algo, "g1");
+          exp::run_cached(graphs, partitions, functional, cfg, algo, "g1");
       const RunReport direct =
           HyveMachine(cfg).run(graphs.base("g1"), algo);
       EXPECT_EQ(report_to_json(cached), report_to_json(direct))
@@ -572,7 +573,7 @@ MemoisedSweep memoised_sweep(const exp::SweepSpec& spec, int jobs) {
   exp::SweepOptions options;
   options.jobs = jobs;
   engine.run(spec, options, &sink);
-  return {os.str(), engine.functional_hits(), engine.functional_builds()};
+  return {os.str(), engine.functional().hits(), engine.functional().builds()};
 }
 
 TEST(FunctionalCache, MemoizesAcrossMemoryConfigsWithIdenticalOutput) {
@@ -649,16 +650,15 @@ TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
   HyveConfig frontier = HyveConfig::hyve_opt();
   frontier.frontier_block_skipping = true;
   frontier.label = "frontier";
-  exp::run_cached(graphs, partitions, dense, Algorithm::kBfs, "g1",
-                  nullptr, 1, &functional);
-  exp::run_cached(graphs, partitions, frontier, Algorithm::kBfs, "g1",
-                  nullptr, 1, &functional);
+  exp::run_cached(graphs, partitions, functional, dense, Algorithm::kBfs,
+                  "g1");
+  exp::run_cached(graphs, partitions, functional, frontier, Algorithm::kBfs,
+                  "g1");
   EXPECT_EQ(functional.builds(), 2u);
   EXPECT_EQ(functional.hits(), 0u);
   // Replays are hits, and reports stay equal to direct runs.
-  const RunReport cached = exp::run_cached(graphs, partitions, frontier,
-                                           Algorithm::kBfs, "g1", nullptr,
-                                           1, &functional);
+  const RunReport cached = exp::run_cached(graphs, partitions, functional,
+                                           frontier, Algorithm::kBfs, "g1");
   EXPECT_EQ(functional.hits(), 1u);
   const RunReport direct =
       HyveMachine(frontier).run(graphs.base("g1"), Algorithm::kBfs);

@@ -18,7 +18,7 @@ TEST(Frontier, BfsFixpointMatchesDenseRun) {
   const Graph g = test_graph();
   const Partitioning part(g, 16);
   BfsProgram dense(0);
-  run_functional(g, dense, &part);
+  run_functional(g, dense, part);
   BfsProgram skipped(0);
   run_frontier(g, skipped, part);
   EXPECT_EQ(dense.distances(), skipped.distances());
@@ -28,7 +28,7 @@ TEST(Frontier, CcFixpointMatchesDenseRun) {
   const Graph g = test_graph();
   const Partitioning part(g, 8);
   CcProgram dense;
-  run_functional(g, dense, &part);
+  run_functional(g, dense, part);
   CcProgram skipped;
   run_frontier(g, skipped, part);
   EXPECT_EQ(dense.labels(), skipped.labels());
@@ -38,7 +38,7 @@ TEST(Frontier, SsspFixpointMatchesDenseRun) {
   const Graph g = test_graph();
   const Partitioning part(g, 8);
   SsspProgram dense(0);
-  run_functional(g, dense, &part);
+  run_functional(g, dense, part);
   SsspProgram skipped(0);
   run_frontier(g, skipped, part);
   EXPECT_EQ(dense.distances(), skipped.distances());

@@ -93,7 +93,7 @@ TEST(Integration, PaperExampleGraphEndToEnd) {
   const Graph g = paper_example_graph();
   const Partitioning part(g, 4);
   PageRankProgram pr(10);
-  const FunctionalResult fr = run_functional(g, pr, &part);
+  const FunctionalResult fr = run_functional(g, pr, part);
   EXPECT_EQ(fr.iterations, 10u);
   EXPECT_EQ(fr.edges_traversed, 110u);
   // v1 receives rank from the hub chain and must outrank isolated v6.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -136,10 +137,24 @@ TEST(Partitioning, IntervalPopulationsSumToV) {
 }
 
 TEST(Partitioning, SingleIntervalHoldsEverything) {
-  const Graph g = generate_rmat(100, 500, {}, 31);
+  // The P = 1 schedule is every whole-graph run's edge stream, so the
+  // stable counting sort must leave its one block in input order,
+  // parallel edges and self-loops included.
+  const Graph rmat = generate_rmat(100, 500, {}, 31);
+  std::vector<Edge> edges = rmat.edges();
+  edges.push_back(edges.front());
+  edges.push_back(edges[edges.size() / 2]);
+  edges.push_back({7, 7});
+  edges.push_back({0, 0});
+  edges.push_back({7, 7});
+  const Graph g(rmat.num_vertices(), std::move(edges));
   const Partitioning part(g, 1);
   EXPECT_EQ(part.block_edge_count(0, 0), g.num_edges());
   EXPECT_EQ(part.non_empty_blocks(), 1u);
+  const EdgeBlockSoA block = part.block(0, 0);
+  ASSERT_EQ(block.size(), g.num_edges());
+  for (std::size_t i = 0; i < block.size(); ++i)
+    EXPECT_EQ(block.edge(i), g.edges()[i]) << "edge " << i;
 }
 
 TEST(Partitioning, RejectsMoreIntervalsThanVertices) {

@@ -255,40 +255,40 @@ TEST(PartitionerInvariance, FunctionalResultsAgreeAcrossStrategies) {
     // Reference results over the interval-block schedule.
     const Partitioning ref_part(ng.graph, ng.p);
     BfsProgram ref_bfs(0);
-    run_functional(ng.graph, ref_bfs, &ref_part);
+    run_functional(ng.graph, ref_bfs, ref_part);
     CcProgram ref_cc;
-    run_functional(ng.graph, ref_cc, &ref_part);
+    run_functional(ng.graph, ref_cc, ref_part);
     SsspProgram ref_sssp(0);
-    run_functional(ng.graph, ref_sssp, &ref_part);
+    run_functional(ng.graph, ref_sssp, ref_part);
     PageRankProgram ref_pr;
-    run_functional(ng.graph, ref_pr, &ref_part);
+    run_functional(ng.graph, ref_pr, ref_part);
     SpmvProgram ref_spmv;
-    run_functional(ng.graph, ref_spmv, &ref_part);
+    run_functional(ng.graph, ref_spmv, ref_part);
 
     for (const PartitionerSpec& spec : all_strategies()) {
       const Partitioning part =
           make_partitioner(spec)->partition(ng.graph, ng.p);
       // Exact algorithms: final values are block-order independent.
       BfsProgram bfs(0);
-      run_functional(ng.graph, bfs, &part);
+      run_functional(ng.graph, bfs, part);
       EXPECT_EQ(bfs.distances(), ref_bfs.distances())
           << ng.name << " " << spec.to_string();
       CcProgram cc;
-      run_functional(ng.graph, cc, &part);
+      run_functional(ng.graph, cc, part);
       EXPECT_EQ(cc.labels(), ref_cc.labels())
           << ng.name << " " << spec.to_string();
       SsspProgram sssp(0);
-      run_functional(ng.graph, sssp, &part);
+      run_functional(ng.graph, sssp, part);
       EXPECT_EQ(sssp.distances(), ref_sssp.distances())
           << ng.name << " " << spec.to_string();
       // FP accumulators: identical up to summation-order rounding.
       PageRankProgram pr;
-      run_functional(ng.graph, pr, &part);
+      run_functional(ng.graph, pr, part);
       for (VertexId v = 0; v < ng.graph.num_vertices(); ++v)
         ASSERT_NEAR(pr.ranks()[v], ref_pr.ranks()[v], 1e-9)
             << ng.name << " " << spec.to_string() << " vertex " << v;
       SpmvProgram spmv;
-      run_functional(ng.graph, spmv, &part);
+      run_functional(ng.graph, spmv, part);
       for (VertexId v = 0; v < ng.graph.num_vertices(); ++v)
         ASSERT_NEAR(spmv.result()[v], ref_spmv.result()[v], 1e-9)
             << ng.name << " " << spec.to_string() << " vertex " << v;

@@ -126,24 +126,18 @@ void expect_lockstep(const Graph& g, const Partitioning& part,
   pc.expect_eq(*by_edge, *by_block);
 }
 
-// The pre-batching functional loop: one virtual call per edge, exactly
-// what run_functional did before process_block existed.
-FunctionalResult reference_run_functional(const Graph& graph,
-                                          VertexProgram& program,
-                                          const Partitioning& schedule) {
+// The pre-batching functional loop: one virtual call per edge, in the
+// order `for_each_edge(visit)` visits them.
+template <typename ForEachEdge>
+FunctionalResult reference_run(const Graph& graph, VertexProgram& program,
+                               ForEachEdge for_each_edge) {
   program.init(graph);
   FunctionalResult result;
   bool more = true;
   while (more && result.iterations < program.max_iterations()) {
-    const std::uint32_t p = schedule.num_intervals();
-    for (std::uint32_t y = 0; y < p; ++y) {
-      for (std::uint32_t x = 0; x < p; ++x) {
-        const EdgeBlockSoA block = schedule.block(x, y);
-        for (std::size_t i = 0; i < block.size(); ++i)
-          result.destination_writes +=
-              program.process_edge(block.edge(i)) ? 1 : 0;
-      }
-    }
+    for_each_edge([&](const Edge& e) {
+      result.destination_writes += program.process_edge(e) ? 1 : 0;
+    });
     result.edges_traversed += graph.num_edges();
     ++result.iterations;
     more = program.end_iteration(result.iterations);
@@ -151,9 +145,32 @@ FunctionalResult reference_run_functional(const Graph& graph,
   return result;
 }
 
+// What run_functional did before process_block existed.
+FunctionalResult reference_run_functional(const Graph& graph,
+                                          VertexProgram& program,
+                                          const Partitioning& schedule) {
+  return reference_run(graph, program, [&](const auto& visit) {
+    const std::uint32_t p = schedule.num_intervals();
+    for (std::uint32_t y = 0; y < p; ++y) {
+      for (std::uint32_t x = 0; x < p; ++x) {
+        const EdgeBlockSoA block = schedule.block(x, y);
+        for (std::size_t i = 0; i < block.size(); ++i) visit(block.edge(i));
+      }
+    }
+  });
+}
+
+void expect_same_run(const FunctionalResult& ref, const FunctionalResult& run) {
+  EXPECT_EQ(ref.iterations, run.iterations);
+  EXPECT_EQ(ref.edges_traversed, run.edges_traversed);
+  EXPECT_EQ(ref.destination_writes, run.destination_writes);
+}
+
 // Runs the programs named in `labels` to convergence on the paper's
-// example graph and the R-MAT, block by block in lockstep and then as a
-// whole run_functional against the per-edge loop.
+// example graph and the R-MAT, block by block in lockstep, then as a
+// whole run_functional against the per-edge loop, and last as a
+// whole-graph run (the P = 1 schedule) against a per-edge loop over
+// the edge list in input order.
 void expect_matches_per_edge_to_convergence(
     std::initializer_list<std::string_view> labels) {
   const struct {
@@ -177,11 +194,18 @@ void expect_matches_per_edge_to_convergence(
       const FunctionalResult ref =
           reference_run_functional(gc.graph, *ref_program, part);
       const FunctionalResult blk =
-          run_functional(gc.graph, *blk_program, &part);
-      EXPECT_EQ(ref.iterations, blk.iterations);
-      EXPECT_EQ(ref.edges_traversed, blk.edges_traversed);
-      EXPECT_EQ(ref.destination_writes, blk.destination_writes);
+          run_functional(gc.graph, *blk_program, part);
+      expect_same_run(ref, blk);
       pc.expect_eq(*ref_program, *blk_program);
+
+      const auto ref_whole_program = pc.make();
+      const auto whole_program = pc.make();
+      const FunctionalResult ref_whole = reference_run(
+          gc.graph, *ref_whole_program, [&](const auto& visit) {
+            for (const Edge& e : gc.graph.edges()) visit(e);
+          });
+      expect_same_run(ref_whole, run_functional(gc.graph, *whole_program));
+      pc.expect_eq(*ref_whole_program, *whole_program);
     }
   }
   EXPECT_EQ(matched, labels.size() * std::size(graphs));
@@ -259,8 +283,9 @@ TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
   CountingProgram prog;
   prog.init(g);
   std::vector<char> changed(g.num_vertices(), 0);
-  const EdgeColumns columns(g.edges());
-  const std::uint64_t writes = prog.process_block(columns.all(), &changed);
+  const Partitioning whole_graph(g, 1);
+  const std::uint64_t writes =
+      prog.process_block(whole_graph.block(0, 0), &changed);
 
   CountingProgram ref;
   ref.init(g);

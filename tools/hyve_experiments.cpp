@@ -113,9 +113,8 @@ int main(int argc, char** argv) {
     exp::ResultSink sink(std::cout, format);
     engine.run(spec, options, &sink);
     if (cache_stats)
-      exp::print_cache_stats(
-          std::cerr, graphs, partitions,
-          {engine.functional_hits(), engine.functional_builds()});
+      exp::print_cache_stats(std::cerr, graphs, partitions,
+                             engine.functional());
     session.finish();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

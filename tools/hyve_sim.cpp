@@ -34,7 +34,9 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/stats.hpp"
 #include "memmodel/area.hpp"
+#include "memmodel/techparams.hpp"
 #include "obs/host_profiler.hpp"
 #include "obs/live.hpp"
 #include "obs/registry.hpp"
@@ -408,13 +410,18 @@ int main(int argc, char** argv) {
       t.add_row({r.config_label, Table::num(r.exec_time_ns / 1e6, 3),
                  Table::num(r.total_energy_pj() / 1e6, 1),
                  Table::num(r.mteps_per_watt(), 0)});
-      const GraphRReport gr = GraphRModel().run(*graph, algo);
+      // GraphR and both CPU baselines price one whole-graph pass.
+      const FunctionalResult whole_graph =
+          run_functional(*graph, *make_program(algo));
+      const GraphRReport gr =
+          GraphRModel().run(*graph, algo, whole_graph,
+                            block_occupancy(*graph, tech::kCrossbarDim));
       t.add_row({"GraphR", Table::num(gr.exec_time_ns / 1e6, 3),
                  Table::num(gr.total_energy_pj() / 1e6, 1),
                  Table::num(gr.mteps_per_watt(), 0)});
       for (const CpuBaseline kind :
            {CpuBaseline::kNaive, CpuBaseline::kOptimized}) {
-        const CpuReport cr = CpuModel(kind).run(*graph, algo);
+        const CpuReport cr = CpuModel(kind).run(algo, whole_graph);
         t.add_row({cr.config_label, Table::num(cr.exec_time_ns / 1e6, 3),
                    Table::num(cr.energy_pj / 1e6, 1),
                    Table::num(cr.mteps_per_watt(), 0)});
