@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   const Graph& g = dataset_graph(DatasetId::kYT);
   const std::uint64_t e = g.num_edges();
   const std::uint64_t v = g.num_vertices();
+  // GraphR's 8x8 block occupancy, read by both of the GraphR-style
+  // design's substitutions.
+  const BlockOccupancy occ = block_occupancy(g, 8);
 
   const DramModel dram;
   const ReramModel reram;
@@ -75,13 +78,11 @@ int main(int argc, char** argv) {
       in.write_vertex_rand = {regfile.write_latency_ns(),
                               regfile.write_energy_pj(4)};
       // Tiny partitions re-read vertices 16x per non-empty block (Eq. 9).
-      const BlockOccupancy occ = block_occupancy(g, 8);
       in.n_read_vertex_seq = model::graphr_vertex_loads(occ.non_empty_blocks);
     }
     if (d.cmos_pu) {
       in.process = {tech::kPuPipelineCycleNs, tech::kCmosEdgeOpEnergyPj};
     } else {
-      const BlockOccupancy occ = block_occupancy(g, 8);
       in.process = {crossbar.per_edge_latency_mvm_ns(
                         occ.avg_edges_per_non_empty),
                     crossbar.per_edge_energy_mvm_pj(

@@ -19,7 +19,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # prefetch-guard: the dynamic store's build and request loops overlap
@@ -305,13 +305,13 @@ cmp "$obs_dir/exp_noreuse.jsonl" "$obs_dir/exp_noreuse_j8.jsonl" ||
 echo "kernel-regression: OK"
 
 cmake -B build-tsan -S . -DHYVE_SANITIZE=thread
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$(nproc)"
 ctest --test-dir build-tsan -L sweep-engine --output-on-failure
 
 # asan: the unit tests (bench smoke runs excluded) under ASan + UBSan in
 # a Debug build; any undefined-behaviour report fails the run.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DHYVE_SANITIZE=address
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan -LE bench-smoke --output-on-failure
 echo "asan: OK"

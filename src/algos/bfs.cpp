@@ -9,7 +9,7 @@ namespace hyve {
 void BfsProgram::init(const Graph& graph) {
   HYVE_CHECK(graph.num_vertices() > 0);
   if (root_ == kAutoRoot) {
-    const auto deg = graph.out_degrees();
+    const std::vector<std::uint32_t>& deg = graph.out_degrees();
     root_ = static_cast<VertexId>(
         std::max_element(deg.begin(), deg.end()) - deg.begin());
   }

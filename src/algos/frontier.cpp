@@ -71,6 +71,26 @@ void set_pattern_reuse_enabled(bool on) {
   g_pattern_reuse.store(on, std::memory_order_relaxed);
 }
 
+bool frontier_tracks_activity(const VertexProgram& program) {
+  return !program.has_apply_phase() && program.max_iterations() > 1;
+}
+
+FrontierTrace full_pass_trace(const Partitioning& schedule,
+                              const FunctionalResult& result) {
+  const std::uint32_t p = schedule.num_intervals();
+  FrontierTrace trace;
+  trace.num_intervals = p;
+  trace.result = result;
+  // Row-major, so sorted by flattened index as the accessors need.
+  std::vector<FrontierTrace::BlockCount> pass;
+  for (std::uint32_t x = 0; x < p; ++x)
+    for (std::uint32_t y = 0; y < p; ++y)
+      if (const std::uint64_t edges = schedule.block_edge_count(x, y))
+        pass.push_back({static_cast<std::uint64_t>(x) * p + y, edges});
+  trace.iteration_blocks.assign(result.iterations, pass);
+  return trace;
+}
+
 FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
                            const Partitioning& schedule) {
   return run_frontier(graph, program, schedule,
@@ -93,8 +113,7 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
   // their activity never narrows; single-pass programs (SpMV) never
   // reach a second iteration. Neither consumes any of the tracking
   // below, so it is skipped wholesale for them.
-  const bool has_apply = program.has_apply_phase();
-  const bool tracks_activity = !has_apply && program.max_iterations() > 1;
+  const bool tracks_activity = frontier_tracks_activity(program);
   std::vector<char> interval_active(p, 1);
   std::vector<char> next_active(tracks_activity ? p : 0, 0);
 

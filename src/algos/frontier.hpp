@@ -8,9 +8,12 @@
 // track this with one bit per interval; the non-volatile edge memory
 // makes it especially attractive because skipped blocks stay power-gated.
 //
-// PageRank's apply phase touches every vertex every iteration, so it
-// degenerates to full passes — the trace then matches the dense model
-// exactly (tested).
+// PageRank's apply phase touches every vertex every iteration, and
+// SpMV never reaches a second pass, so the walk cannot narrow them
+// (frontier_tracks_activity): it degenerates to full passes, and the
+// trace matches the dense model exactly (tested). Callers that already
+// hold the dense result build that trace with full_pass_trace instead
+// of walking again.
 //
 // On top of the interval-granular skip sits per-iteration *pattern
 // reuse* ("Leveraging Recurrent Patterns in Graph Accelerators",
@@ -96,6 +99,20 @@ struct FrontierOptions {
   // passes either way).
   bool pattern_reuse = true;
 };
+
+// Whether run_frontier's skipping can ever narrow `program`'s passes:
+// false for apply-phase programs, which rewrite every vertex each
+// iteration, and for single-pass ones. For those the walk streams every
+// non-empty block of every pass and skips none.
+bool frontier_tracks_activity(const VertexProgram& program);
+
+// The trace run_frontier returns for a program it cannot narrow
+// (frontier_tracks_activity false), built from the dense run's `result`
+// over the same schedule: every non-empty block of `schedule` in each of
+// result.iterations passes, no skips. Equal to the walk's trace field
+// for field (tested).
+FrontierTrace full_pass_trace(const Partitioning& schedule,
+                              const FunctionalResult& result);
 
 // Runs `program` to convergence, skipping blocks with inactive source
 // intervals. Results are identical to the dense run for programs whose

@@ -55,15 +55,14 @@ GasProgram<std::uint32_t> make_widest_path_program(
                            std::vector<char>* changed) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
-    const std::uint64_t* const hash = block.weight_hash();
+    const std::uint32_t* const weight = block.weights(max_capacity);
     std::uint64_t writes = 0;
     for (std::size_t i = 0; i < block.count; ++i) {
       const std::uint32_t s = values[src[i]];
       if (s == 0) continue;
-      // The precomputed column replaces the per-edge SplitMix64 the
-      // scatter callable pays through Graph::edge_weight.
-      const std::uint32_t through =
-          std::min(s, Graph::edge_weight_from_hash(hash[i], max_capacity));
+      // The precomputed column replaces the per-edge SplitMix64 and
+      // modulo the scatter callable pays through Graph::edge_weight.
+      const std::uint32_t through = std::min(s, weight[i]);
       if (through > values[dst[i]]) {
         values[dst[i]] = through;
         ++writes;

@@ -7,15 +7,16 @@ namespace hyve {
 void PageRankProgram::init(const Graph& graph) {
   num_vertices_ = graph.num_vertices();
   HYVE_CHECK(num_vertices_ > 0);
-  out_degree_ = graph.out_degrees();
+  out_degree_ = &graph.out_degrees();
+  const std::vector<std::uint32_t>& out_degree = *out_degree_;
   const double initial = 1.0 / num_vertices_;
   rank_.assign(num_vertices_, initial);
   accum_.assign(num_vertices_, 0.0);
   contribution_.assign(num_vertices_, 0.0f);
   for (VertexId v = 0; v < num_vertices_; ++v)
-    contribution_[v] = out_degree_[v] == 0
+    contribution_[v] = out_degree[v] == 0
                            ? 0.0f
-                           : static_cast<float>(rank_[v] / out_degree_[v]);
+                           : static_cast<float>(rank_[v] / out_degree[v]);
 }
 
 bool PageRankProgram::process_edge(const Edge& e) {
@@ -54,7 +55,7 @@ bool PageRankProgram::end_iteration(std::uint32_t completed_iterations) {
   double* const rank = rank_.data();
   double* const accum = accum_.data();
   float* const contribution = contribution_.data();
-  const std::uint32_t* const out_degree = out_degree_.data();
+  const std::uint32_t* const out_degree = out_degree_->data();
   // Pure elementwise apply phase — vectorizes cleanly, and per-element
   // FP order is unchanged so results stay byte-identical.
 #pragma omp simd

@@ -39,7 +39,9 @@ class PageRankProgram final : public VertexProgram {
   std::vector<double> rank_;
   std::vector<double> accum_;
   std::vector<float> contribution_;  // rank[src]/outdeg[src], frozen per pass
-  std::vector<std::uint32_t> out_degree_;
+  // The graph's table (Graph::out_degrees), valid while the graph
+  // passed to init() lives.
+  const std::vector<std::uint32_t>* out_degree_ = nullptr;
 };
 
 }  // namespace hyve

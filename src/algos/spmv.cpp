@@ -38,12 +38,13 @@ std::uint64_t SpmvProgram::process_block(const EdgeBlockSoA& block,
   const double* const x = x_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
-  const std::uint64_t* const hash = block.weight_hash();
+  const std::uint32_t* const weight = block.weights(1024);
   // Two per-edge hashes of process_edge (matrix entry and input
-  // value) become one modulo and one gather; the accumulation itself
-  // stays sequential to preserve the reference's FP order exactly.
+  // value) become one weight load and one gather; the accumulation
+  // itself stays sequential to preserve the reference's FP order
+  // exactly.
   for (std::size_t i = 0; i < block.count; ++i) {
-    const double a = Graph::edge_weight_from_hash(hash[i], 1024) / 1024.0;
+    const double a = weight[i] / 1024.0;
     y[dst[i]] += a * x[src[i]];
   }
   if (changed != nullptr) {

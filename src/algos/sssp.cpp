@@ -9,7 +9,7 @@ namespace hyve {
 void SsspProgram::init(const Graph& graph) {
   HYVE_CHECK(graph.num_vertices() > 0);
   if (root_ == kAutoRoot) {
-    const auto deg = graph.out_degrees();
+    const std::vector<std::uint32_t>& deg = graph.out_degrees();
     root_ = static_cast<VertexId>(
         std::max_element(deg.begin(), deg.end()) - deg.begin());
   }
@@ -37,21 +37,18 @@ std::uint64_t SsspProgram::process_block(const EdgeBlockSoA& block,
   std::uint64_t* const dist = dist_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
-  const std::uint64_t* const hash = block.weight_hash();
-  const std::uint32_t max_weight = max_weight_;
+  const std::uint32_t* const weight = block.weights(max_weight_);
   std::uint64_t writes = 0;
-  // The precomputed hash column replaces process_edge's per-edge
-  // SplitMix64 avalanche with one modulo — the bulk of this kernel's
-  // win. The relaxation stays sequential (in-pass
+  // The precomputed weight column replaces process_edge's per-edge
+  // SplitMix64 avalanche and modulo with one 4-byte load — the bulk of
+  // this kernel's win. The relaxation stays sequential (in-pass
   // propagation), with a saturating branchless candidate: kUnreached
   // plus any weight wraps below kUnreached, so guard with a select
   // instead of the reference's early-out branch.
   for (std::size_t i = 0; i < block.count; ++i) {
     const std::uint64_t ds = dist[src[i]];
     const std::uint64_t candidate =
-        ds == kUnreached
-            ? kUnreached
-            : ds + Graph::edge_weight_from_hash(hash[i], max_weight);
+        ds == kUnreached ? kUnreached : ds + weight[i];
     if (candidate < dist[dst[i]]) {
       dist[dst[i]] = candidate;
       ++writes;

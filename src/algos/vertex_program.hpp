@@ -64,8 +64,8 @@ class VertexProgram {
   virtual bool process_edge(const Edge& e) = 0;
 
   // Processes one interval block, handed as contiguous src[]/dst[]
-  // columns (graph/edge_columns.hpp; weighted programs fetch the
-  // weight-hash column once per block with block.weight_hash()), in
+  // columns (graph/edge_columns.hpp; weighted programs fetch their
+  // weight column once per block with block.weights(max_weight)), in
   // block order; returns how many of its edges changed their
   // destination. When `changed` is non-null it must be indexable by
   // every destination id in the block; the entry of each changed

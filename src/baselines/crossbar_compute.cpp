@@ -59,7 +59,7 @@ CrossbarPagerankResult crossbar_pagerank(const Graph& graph,
                                          double damping) {
   const VertexId v = graph.num_vertices();
   HYVE_CHECK(v > 0);
-  const auto out_degree = graph.out_degrees();
+  const std::vector<std::uint32_t>& out_degree = graph.out_degrees();
 
   // Group edges by 8x8 block and program one quantised crossbar each;
   // the programmed weight is the PR transition entry 1/outdeg(src).

@@ -143,11 +143,15 @@ FunctionalOutcome HyveMachine::run_functional_phase(
                                    << " but this machine needs P=" << p);
   FunctionalOutcome outcome;
   outcome.num_intervals = p;
-  if (config_.frontier_block_skipping) {
+  if (config_.frontier_block_skipping && frontier_tracks_activity(program)) {
     outcome.frontier = run_frontier(graph, program, schedule);
     outcome.result = outcome.frontier->result;
   } else {
+    // A program the walk cannot narrow runs the dense passes either
+    // way; frontier mode only adds their trace.
     outcome.result = run_functional(graph, program, schedule);
+    if (config_.frontier_block_skipping)
+      outcome.frontier = full_pass_trace(schedule, outcome.result);
   }
   return outcome;
 }

@@ -129,11 +129,13 @@ class HyveMachine {
   // choose_num_intervals() intervals; both are checked.
   //
   // run_functional_phase executes the vertex program for real (dense or
-  // frontier-skipping per config().frontier_block_skipping) and returns
-  // everything accounting needs. run_with_functional replays a
-  // previously computed outcome through the architectural walk; the
-  // outcome must have been produced by a machine with the same frontier
-  // mode and P (checked). Composing the two is exactly what run() does.
+  // frontier-skipping per config().frontier_block_skipping; a program
+  // the frontier walk cannot narrow runs dense and gets its full-pass
+  // trace, algos/frontier.hpp) and returns everything accounting needs.
+  // run_with_functional replays a previously computed outcome through
+  // the architectural walk; the outcome must have been produced by a
+  // machine with the same frontier mode and P (checked). Composing the
+  // two is exactly what run() does.
   FunctionalOutcome run_functional_phase(const Graph& graph,
                                          const Partitioning& schedule,
                                          VertexProgram& program) const;

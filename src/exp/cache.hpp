@@ -179,15 +179,21 @@ class PartitionCache {
 // (a GraphCache key; hash-balanced images fold the seed in via
 // GraphCache::balanced_key), the algorithm, the partitioner strategy
 // (block iteration order steers in-pass propagation, so iteration
-// counts differ across strategies), the interval count P, and the
-// frontier mode. Memory technologies, power gating, data sharing and
-// edge width never appear — they only affect accounting, so a sweep
-// over memory configs hits this cache on every cell after the first.
+// counts differ across strategies), the interval count P, and whether
+// the frontier walk runs. Memory technologies, power gating, data
+// sharing and edge width never appear — they only affect accounting, so
+// a sweep over memory configs hits this cache on every cell after the
+// first.
 struct FunctionalKey {
   std::string graph_key;
   std::string algorithm;
   std::string partitioner = "interval";  // PartitionerSpec::to_string
   std::uint32_t num_intervals = 0;       // P
+  // Frontier mode, for programs the walk can narrow
+  // (frontier_tracks_activity). PageRank, SpMV and apply-phase GAS
+  // programs run the same dense passes in both modes, so both share the
+  // dense entry (false) and run_cached attaches the full-pass trace to
+  // a frontier cell's copy.
   bool frontier = false;
   // Per-iteration pattern reuse (algos/frontier.hpp). Results and
   // reports are byte-identical either way (tested), but the cached

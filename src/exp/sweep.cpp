@@ -72,18 +72,30 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
   const std::shared_ptr<const Partitioning> schedule =
       partitions.acquire(schedule_key, *graph, p, config.partitioner);
   // schedule_key already identifies the graph image (balance seed
-  // included); the partitioner, P and the frontier mode pin the rest of
-  // the functional inputs, so memory-tech-only config changes share one
-  // entry while different strategies (whose block order steers in-pass
-  // propagation) never collide.
+  // included); the partitioner, P and whether the frontier walk runs pin
+  // the rest of the functional inputs, so memory-tech-only config changes
+  // share one entry while different strategies (whose block order steers
+  // in-pass propagation) never collide. A program the walk cannot narrow
+  // runs the same dense passes in both frontier modes: its one entry is
+  // the dense outcome, and a frontier cell attaches the full-pass trace.
+  const bool frontier = config.frontier_block_skipping;
+  const bool walk = frontier && frontier_tracks_activity(*program);
   const FunctionalKey key{schedule_key, program->name(),
-                          config.partitioner.to_string(), p,
-                          config.frontier_block_skipping,
+                          config.partitioner.to_string(), p, walk,
                           pattern_reuse_enabled()};
   const std::shared_ptr<const FunctionalOutcome> outcome =
       functional.acquire(key, [&] {
-        return machine.run_functional_phase(*graph, *schedule, *program);
+        HyveConfig functional_config = config;
+        functional_config.frontier_block_skipping = walk;
+        return HyveMachine(functional_config)
+            .run_functional_phase(*graph, *schedule, *program);
       });
+  if (frontier && !walk) {
+    FunctionalOutcome replay = *outcome;
+    replay.frontier = full_pass_trace(*schedule, replay.result);
+    return machine.run_with_functional(*graph, *schedule, *program, replay,
+                                       trace, trace_pid);
+  }
   return machine.run_with_functional(*graph, *schedule, *program, *outcome,
                                      trace, trace_pid);
 }

@@ -6,11 +6,12 @@
 // Dann et al. (PAPERS.md) find that layout pays exactly when it cuts
 // the bytes a sequential edge stream moves. EdgeColumns holds an edge
 // run as contiguous src[]/dst[] columns (8 bytes per edge), and
-// EdgeBlockSoA hands kernels a borrowed window over them. The
-// per-edge weight hash (the SplitMix64 avalanche that SSSP, SpMV and
-// the widest-path program would otherwise recompute on every traversal
-// of every edge) is a third column built on first use, so schedules
-// that only BFS, CC and PageRank stream never hold it.
+// EdgeBlockSoA hands kernels a borrowed window over them. Edge weights
+// (Graph::edge_weight, which SSSP, SpMV and the widest-path program
+// would otherwise hash and divide on every traversal of every edge) are
+// one uint32 column per distinct max_weight, each built on first use,
+// so schedules that only BFS, CC and PageRank stream never hold one and
+// a weighted kernel adds a loaded weight: 4 bytes per edge per column.
 //
 // Partitioning's counting sort writes the columns directly; it is their
 // only producer. A whole-graph run streams the P = 1 schedule's one
@@ -19,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -36,7 +38,7 @@ struct EdgeBlockSoA {
   const VertexId* src = nullptr;
   const VertexId* dst = nullptr;
   std::size_t count = 0;
-  // The owner and the run's first edge in it, for weight_hash().
+  // The owner and the run's first edge in it, for weights().
   const EdgeColumns* columns = nullptr;
   std::uint64_t offset = 0;
 
@@ -47,11 +49,11 @@ struct EdgeBlockSoA {
   std::span<const VertexId> sources() const { return {src, count}; }
   std::span<const VertexId> destinations() const { return {dst, count}; }
 
-  // Graph::edge_weight_hash of each edge; feed through
-  // Graph::edge_weight_from_hash for any max_weight. The first call on
-  // an image builds its weight column (EdgeColumns::weight_hash), so
-  // weighted kernels call this once per block, outside the edge loop.
-  const std::uint64_t* weight_hash() const;
+  // Graph::edge_weight(edge(i), max_weight) of each edge. The first
+  // call for a max_weight builds that column over the whole image
+  // (EdgeColumns::weights), so weighted kernels call this once per
+  // block, outside the edge loop.
+  const std::uint32_t* weights(std::uint32_t max_weight) const;
 };
 
 // Owning edge columns. A view over [offset, offset+count) holds exactly
@@ -69,29 +71,39 @@ class EdgeColumns {
   EdgeBlockSoA view(std::uint64_t offset, std::uint64_t count) const;
   EdgeBlockSoA all() const { return view(0, src_.size()); }
 
-  // Graph::edge_weight_hash of every edge, in column order. Built on the
-  // first call under the edge_columns.weight_hash host span; concurrent
-  // first callers share one build, and later calls cost one acquire
-  // load. Thread-safe.
-  const std::uint64_t* weight_hash() const;
-  bool has_weight_hash() const {
-    return weight_built_.load(std::memory_order_acquire);
-  }
+  // Graph::edge_weight(e, max_weight) of every edge, in column order
+  // (max_weight > 0, checked). Each distinct max_weight gets its own
+  // column, built on its first call under the edge_columns.weights host
+  // span; concurrent first callers share one build, and later calls
+  // cost one acquire load plus a walk over the built columns.
+  // Thread-safe.
+  const std::uint32_t* weights(std::uint32_t max_weight) const;
 
-  // Bytes of the columns: 8 per edge, 16 once the weight column exists.
+  // Bytes of the columns: 8 per edge, plus 4 per edge per weight column.
   std::size_t approx_bytes() const;
 
  private:
+  // One built weight column. Columns form a newest-first list that only
+  // grows, under weights_mu_; newest_weights_ publishes each new head,
+  // so readers walk the list without the lock.
+  struct WeightColumn {
+    std::uint32_t max_weight = 0;
+    std::vector<std::uint32_t> weight;
+    std::unique_ptr<const WeightColumn> next;  // the column built before
+  };
+
+  const WeightColumn* find_weights(std::uint32_t max_weight) const;
+
   std::vector<VertexId> src_;
   std::vector<VertexId> dst_;
-  // Written once under weight_mu_, then published by weight_built_.
-  mutable std::mutex weight_mu_;
-  mutable std::vector<std::uint64_t> weight_hash_;
-  mutable std::atomic<bool> weight_built_{false};
+  mutable std::mutex weights_mu_;
+  mutable std::unique_ptr<const WeightColumn> weights_;
+  mutable std::atomic<const WeightColumn*> newest_weights_{nullptr};
 };
 
-inline const std::uint64_t* EdgeBlockSoA::weight_hash() const {
-  return columns->weight_hash() + offset;
+inline const std::uint32_t* EdgeBlockSoA::weights(
+    std::uint32_t max_weight) const {
+  return columns->weights(max_weight) + offset;
 }
 
 }  // namespace hyve

@@ -19,10 +19,14 @@ Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
   }
 }
 
-std::vector<std::uint32_t> Graph::out_degrees() const {
-  std::vector<std::uint32_t> deg(num_vertices_, 0);
-  for (const Edge& e : edges_) ++deg[e.src];
-  return deg;
+const std::vector<std::uint32_t>& Graph::out_degrees() const {
+  HYVE_CHECK_MSG(degrees_ != nullptr, "out_degrees() of a moved-from graph");
+  std::call_once(degrees_->once, [this] {
+    std::vector<std::uint32_t> deg(num_vertices_, 0);
+    for (const Edge& e : edges_) ++deg[e.src];
+    degrees_->out = std::move(deg);
+  });
+  return degrees_->out;
 }
 
 std::vector<std::uint32_t> Graph::in_degrees() const {
@@ -33,7 +37,7 @@ std::vector<std::uint32_t> Graph::in_degrees() const {
 
 std::uint32_t Graph::edge_weight(const Edge& e, std::uint32_t max_weight) {
   HYVE_CHECK(max_weight > 0);
-  return edge_weight_from_hash(edge_weight_hash(e), max_weight);
+  return static_cast<std::uint32_t>(edge_weight_hash(e) % max_weight) + 1;
 }
 
 Graph Graph::hashed_remap(std::uint64_t seed) const {

@@ -2,11 +2,14 @@
 //
 // HyVE is an edge-centric architecture (X-Stream model), so the edge list —
 // not an adjacency structure — is the primary representation; CSR views and
-// degree arrays are derived on demand where algorithms need them. Runs
-// stream a Partitioning's columns; a whole-graph run uses P = 1.
+// degree arrays are derived on demand where algorithms need them (the
+// out-degree table once per graph). Runs stream a Partitioning's columns;
+// a whole-graph run uses P = 1.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 namespace hyve {
@@ -30,30 +33,29 @@ class Graph {
   std::uint64_t num_edges() const { return edges_.size(); }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  // Per-vertex out-degree (used by PageRank's rank scaling).
-  std::vector<std::uint32_t> out_degrees() const;
+  // Per-vertex out-degree (PageRank's rank scaling, the BFS and SSSP
+  // root choice). Counted on the first call, not at construction (a
+  // load that never asks pays nothing), and kept: copies of this graph
+  // share the one table and concurrent first calls share one count.
+  // Valid while this graph or a copy of it lives. Thread-safe.
+  const std::vector<std::uint32_t>& out_degrees() const;
   std::vector<std::uint32_t> in_degrees() const;
 
-  // Deterministic per-edge weight in [1, max_weight], derived by hashing
-  // the endpoints; stands in for datasets without native weights (SSSP,
-  // SpMV) exactly as the paper's unweighted SNAP graphs require.
+  // Deterministic per-edge weight in [1, max_weight],
+  // edge_weight_hash(e) % max_weight + 1; stands in for datasets without
+  // native weights (SSSP, SpMV) exactly as the paper's unweighted SNAP
+  // graphs require. Block kernels read it from a precomputed column
+  // (EdgeColumns::weights).
   static std::uint32_t edge_weight(const Edge& e, std::uint32_t max_weight = 64);
 
-  // edge_weight factored in two so SoA kernels can precompute the hash
-  // once per edge and derive any max_weight from it:
-  //   edge_weight(e, m) == edge_weight_from_hash(edge_weight_hash(e), m)
-  // (pinned by test). The hash is a SplitMix64-style avalanche over the
-  // packed endpoints.
+  // The hash under edge_weight: a SplitMix64-style avalanche over the
+  // packed endpoints. Inline so the weight-column build vectorizes.
   static std::uint64_t edge_weight_hash(const Edge& e) {
     std::uint64_t z = (static_cast<std::uint64_t>(e.src) << 32) | e.dst;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     z ^= z >> 31;
     return z;
-  }
-  static std::uint32_t edge_weight_from_hash(std::uint64_t hash,
-                                             std::uint32_t max_weight) {
-    return static_cast<std::uint32_t>(hash % max_weight) + 1;
   }
 
   // Remaps vertex ids through a deterministic pseudo-random permutation —
@@ -62,8 +64,15 @@ class Graph {
   Graph hashed_remap(std::uint64_t seed) const;
 
  private:
+  // The lazily counted out-degree table, shared by copies.
+  struct Degrees {
+    std::once_flag once;
+    std::vector<std::uint32_t> out;
+  };
+
   VertexId num_vertices_ = 0;
   std::vector<Edge> edges_;
+  std::shared_ptr<Degrees> degrees_ = std::make_shared<Degrees>();
 };
 
 // Compressed sparse row view (by source vertex), built on demand.

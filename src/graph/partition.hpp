@@ -174,9 +174,9 @@ class Partitioning {
   const std::vector<Edge>& grouped_edges() const;
 
   // All edges in block-major (x, then y) order, as the build wrote them;
-  // shared by copies of this partitioning. The weight-hash column is
-  // built on first use (EdgeColumns::weight_hash), so only schedules
-  // that a weighted program streams hold it.
+  // shared by copies of this partitioning. Weight columns are built on
+  // first use (EdgeColumns::weights), so only schedules that a weighted
+  // program streams hold one.
   const EdgeColumns& edge_columns() const { return *columns_; }
 
   // Built on first use and shared by copies of this partitioning.
@@ -184,7 +184,7 @@ class Partitioning {
   const SourceBlockIndex& source_block_index() const;
 
   // Bytes of the edge images currently resident: the src/dst columns,
-  // plus the weight-hash column and the source-block index once built.
+  // plus every weight column and the source-block index once built.
   // PartitionCache does not count them: its budget is an entry cap.
   std::size_t lazy_bytes() const;
 

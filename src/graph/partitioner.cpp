@@ -43,26 +43,44 @@ void check_interval_count(const Graph& g, std::uint32_t p) {
                                     << g.num_vertices() << ")");
 }
 
-// Undirected adjacency (out + in neighbours) in CSR form, for the
-// affinity placement of low-degree vertices.
+// For HEP's affinity placement: each low-degree vertex's neighbours (out
+// and in) that are already placed when the id-order stream reaches it —
+// every high-degree one (phase 1 placed them all) and the low-degree
+// ones with a lower id — in CSR form. Each edge lands in the list of at
+// most one endpoint, so this holds at most E entries where the full
+// undirected adjacency holds 2E, and yields the same affinity counts.
 struct Adjacency {
   std::vector<std::uint64_t> offsets;  // V + 1
-  std::vector<VertexId> neighbors;     // 2E
+  std::vector<VertexId> neighbors;     // <= E
 };
 
-Adjacency build_adjacency(const Graph& g,
-                          const std::vector<std::uint32_t>& degree) {
+Adjacency build_placed_adjacency(const Graph& g,
+                                 const DenseBitset& is_high_degree) {
+  // The (list owner, neighbour) pair of an edge; owner == kNone when
+  // neither endpoint's list holds it (both high-degree, or a self-loop).
+  constexpr VertexId kNone = ~VertexId{0};
+  const auto route = [&](const Edge& e) -> std::pair<VertexId, VertexId> {
+    const bool src_high = is_high_degree.test(e.src);
+    const bool dst_high = is_high_degree.test(e.dst);
+    if (src_high != dst_high) return src_high ? std::pair{e.dst, e.src}
+                                              : std::pair{e.src, e.dst};
+    if (src_high || e.src == e.dst) return {kNone, kNone};
+    return e.src > e.dst ? std::pair{e.src, e.dst} : std::pair{e.dst, e.src};
+  };
   Adjacency adj;
   const VertexId v = g.num_vertices();
   adj.offsets.assign(v + std::size_t{1}, 0);
-  for (VertexId u = 0; u < v; ++u)
-    adj.offsets[u + 1] = adj.offsets[u] + degree[u];
+  for (const Edge& e : g.edges()) {
+    const VertexId owner = route(e).first;
+    if (owner != kNone) ++adj.offsets[owner + 1];
+  }
+  for (VertexId u = 0; u < v; ++u) adj.offsets[u + 1] += adj.offsets[u];
   adj.neighbors.resize(adj.offsets[v]);
   std::vector<std::uint64_t> cursor(adj.offsets.begin(),
                                     adj.offsets.end() - 1);
   for (const Edge& e : g.edges()) {
-    adj.neighbors[cursor[e.src]++] = e.dst;
-    adj.neighbors[cursor[e.dst]++] = e.src;
+    const auto [owner, neighbor] = route(e);
+    if (owner != kNone) adj.neighbors[cursor[owner]++] = neighbor;
   }
   return adj;
 }
@@ -154,7 +172,7 @@ class HepPartitioner final : public Partitioner {
     // interval holding most of its already-placed neighbours (ties:
     // smaller population, then lower index); vertices with no placed
     // neighbour fall back to the least-populated interval.
-    const Adjacency adj = build_adjacency(g, degree);
+    const Adjacency adj = build_placed_adjacency(g, is_high_degree);
     std::vector<std::uint32_t> affinity(p, 0);
     std::vector<std::uint32_t> touched;
     for (VertexId u = 0; u < v; ++u) {
@@ -162,7 +180,6 @@ class HepPartitioner final : public Partitioner {
       touched.clear();
       for (std::uint64_t i = adj.offsets[u]; i < adj.offsets[u + 1]; ++i) {
         const std::uint32_t interval = assignment[adj.neighbors[i]];
-        if (interval == kUnassigned) continue;
         if (affinity[interval]++ == 0) touched.push_back(interval);
       }
       std::uint32_t best = kUnassigned;

@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "algos/frontier.hpp"
+#include "algos/gas.hpp"
 #include "core/report_io.hpp"
 #include "exp/sweep.hpp"
 #include "graph/blocked_format.hpp"
@@ -153,8 +155,8 @@ TEST(SweepEngine, OnlyWeightedProgramsBuildAWeightColumn) {
     for (const Algorithm algorithm : spec.algorithms)
       cells.emplace_back(key, algorithm);
   // Visits every cached schedule by re-acquiring each cell's the way
-  // run_cached does (hits only), and counts those holding a weight-hash
-  // column.
+  // run_cached does (hits only), and counts those holding a weight
+  // column: anything beyond the 8 B/edge of src/dst.
   const auto weighted_schedules = [&] {
     const std::size_t builds = partitions.builds();
     std::set<const Partitioning*> schedules;
@@ -167,8 +169,9 @@ TEST(SweepEngine, OnlyWeightedProgramsBuildAWeightColumn) {
       const std::shared_ptr<const Partitioning> schedule = partitions.acquire(
           exp::GraphCache::balanced_key(key, config.hash_balance_seed), *graph,
           p);
+      const EdgeColumns& columns = schedule->edge_columns();
       if (schedules.insert(schedule.get()).second &&
-          schedule->edge_columns().has_weight_hash())
+          columns.approx_bytes() > columns.size() * 2 * sizeof(VertexId))
         ++weighted;
     }
     EXPECT_EQ(partitions.builds(), builds);
@@ -610,7 +613,9 @@ TEST(FunctionalCache, EngineMemoisesFig16GridAcrossPartitioners) {
   spec.algorithms = {Algorithm::kBfs, Algorithm::kPageRank};
   spec.graphs = {"g1", "g2"};
 
-  // Distinct functional keys, derived the way run_cached keys its memo.
+  // Distinct functional keys, derived the way run_cached keys its memo:
+  // the frontier mode splits BFS, but PageRank (which the frontier walk
+  // cannot narrow) shares one entry across both modes.
   exp::GraphCache graphs;
   add_test_graphs(graphs);
   std::set<std::tuple<std::string, Algorithm, std::string, std::uint32_t,
@@ -623,11 +628,12 @@ TEST(FunctionalCache, EngineMemoisesFig16GridAcrossPartitioners) {
             ? exp::GraphCache::balanced_key(cell.graph_key,
                                             cfg.hash_balance_seed)
             : cell.graph_key;
+    const auto program = make_program(cell.algorithm);
     const std::uint32_t p = HyveMachine(cfg).choose_num_intervals(
-        graphs.base(cell.graph_key),
-        make_program(cell.algorithm)->vertex_value_bytes());
+        graphs.base(cell.graph_key), program->vertex_value_bytes());
     keys.insert({image, cell.algorithm, cfg.partitioner.to_string(), p,
-                 cfg.frontier_block_skipping});
+                 cfg.frontier_block_skipping &&
+                     frontier_tracks_activity(*program)});
   }
   ASSERT_LT(keys.size(), spec.size());
 
@@ -663,6 +669,137 @@ TEST(FunctionalCache, FrontierAndDenseOutcomesGetDistinctEntries) {
   const RunReport direct =
       HyveMachine(frontier).run(graphs.base("g1"), Algorithm::kBfs);
   EXPECT_EQ(report_to_json(cached), report_to_json(direct));
+}
+
+// A frontier-mode machine whose choose_num_intervals() gives exactly `p`
+// on `v` vertices of `value_bytes` each (v * value_bytes divisible by
+// p): P = 1 takes one PU, the rest eight PUs with SRAM sections of
+// v / p vertices. No remap, so the cached image is the base graph.
+HyveConfig frontier_config_at(std::uint32_t p, VertexId v,
+                              std::uint32_t value_bytes,
+                              const PartitionerSpec& partitioner) {
+  HyveConfig config = HyveConfig::hyve_opt();
+  config.frontier_block_skipping = true;
+  config.hash_balance = false;
+  config.num_pus = p == 1 ? 1 : 8;
+  config.sram_bytes_per_pu = 2 * std::uint64_t{v} * value_bytes / p;
+  config.label = "frontier-P" + std::to_string(p);
+  config.set_partitioner(partitioner);
+  return config;
+}
+
+void expect_same_trace(const FrontierTrace& got, const FrontierTrace& want) {
+  EXPECT_EQ(got.num_intervals, want.num_intervals);
+  EXPECT_EQ(got.result.iterations, want.result.iterations);
+  EXPECT_EQ(got.result.edges_traversed, want.result.edges_traversed);
+  EXPECT_EQ(got.result.destination_writes, want.result.destination_writes);
+  EXPECT_EQ(got.blocks_skipped, want.blocks_skipped);
+  EXPECT_EQ(got.edges_skipped, want.edges_skipped);
+  ASSERT_EQ(got.iteration_blocks.size(), want.iteration_blocks.size());
+  for (std::size_t it = 0; it < want.iteration_blocks.size(); ++it) {
+    const auto& lhs = got.iteration_blocks[it];
+    const auto& rhs = want.iteration_blocks[it];
+    ASSERT_EQ(lhs.size(), rhs.size()) << "iteration " << it;
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+      EXPECT_EQ(lhs[i].block, rhs[i].block);
+      EXPECT_EQ(lhs[i].edges, rhs[i].edges);
+    }
+  }
+  EXPECT_EQ(got.approx_bytes(), want.approx_bytes());
+}
+
+TEST(FunctionalCache, InertProgramsShareTheDenseEntryAcrossFrontierModes) {
+  // PageRank, SpMV and apply-phase GAS programs: the frontier walk
+  // cannot narrow them, so frontier mode runs the dense passes and
+  // rebuilds the walk's trace, which must equal run_frontier's.
+  const auto decay = [] {
+    GasProgram<float>::Spec spec;
+    spec.name = "DECAY";
+    spec.init = [](VertexId v, const Graph&) {
+      return v % 3 == 0 ? 1.0f : 0.0f;
+    };
+    spec.scatter = [](const Edge&, const float& src,
+                      const float& dst) -> std::optional<float> {
+      if (src > dst) return src;
+      return std::nullopt;
+    };
+    spec.apply = [](VertexId, const float& v) { return v * 0.5f; };
+    spec.max_iterations = 4;
+    return std::make_unique<GasProgram<float>>(std::move(spec));
+  };
+  const std::function<std::unique_ptr<VertexProgram>()> programs[] = {
+      [] { return make_program(Algorithm::kPageRank); },
+      [] { return make_program(Algorithm::kSpmv); }, decay};
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  const Graph& g = graphs.base("g1");
+  for (const std::string& strategy : {"interval", "hep:tau=2"}) {
+    const PartitionerSpec partitioner = *parse_partitioner(strategy);
+    for (const std::uint32_t p : {1u, 8u, 16u}) {
+      const Partitioning schedule =
+          make_partitioner(partitioner)->partition(g, p);
+      for (const auto& make : programs) {
+        const auto program = make();
+        SCOPED_TRACE(::testing::Message() << strategy << " P=" << p << " "
+                                          << program->name());
+        ASSERT_FALSE(frontier_tracks_activity(*program));
+        const HyveMachine machine(frontier_config_at(
+            p, g.num_vertices(), program->vertex_value_bytes(), partitioner));
+        ASSERT_EQ(machine.choose_num_intervals(
+                      g, program->vertex_value_bytes()),
+                  p);
+        const FunctionalOutcome outcome =
+            machine.run_functional_phase(g, schedule, *program);
+        const FrontierTrace walked = run_frontier(g, *make(), schedule);
+        ASSERT_TRUE(outcome.frontier.has_value());
+        expect_same_trace(*outcome.frontier, walked);
+        EXPECT_EQ(outcome.result.iterations, walked.result.iterations);
+        EXPECT_EQ(outcome.result.edges_traversed,
+                  walked.result.edges_traversed);
+        EXPECT_EQ(outcome.result.destination_writes,
+                  walked.result.destination_writes);
+      }
+    }
+  }
+
+  // Through run_cached: a frontier cell reports exactly what accounting
+  // over run_frontier's trace reports, and its dense twin hits the same
+  // entry.
+  exp::PartitionCache partitions;
+  exp::FunctionalCache functional;
+  std::size_t cells = 0;
+  for (const std::string& strategy : {"interval", "hep:tau=2"}) {
+    const PartitionerSpec partitioner = *parse_partitioner(strategy);
+    for (const std::uint32_t p : {1u, 8u, 16u}) {
+      for (const Algorithm algorithm :
+           {Algorithm::kPageRank, Algorithm::kSpmv}) {
+        SCOPED_TRACE(::testing::Message() << strategy << " P=" << p << " "
+                                          << algorithm_name(algorithm));
+        const auto program = make_program(algorithm);
+        const HyveConfig frontier = frontier_config_at(
+            p, g.num_vertices(), program->vertex_value_bytes(), partitioner);
+        HyveConfig dense = frontier;
+        dense.frontier_block_skipping = false;
+        dense.label += "-dense";
+        const RunReport cached = exp::run_cached(
+            graphs, partitions, functional, frontier, algorithm, "g1");
+        exp::run_cached(graphs, partitions, functional, dense, algorithm,
+                        "g1");
+        cells += 2;
+        const std::shared_ptr<const Partitioning> schedule =
+            partitions.acquire("g1", g, p, partitioner);
+        FunctionalOutcome walked;
+        walked.num_intervals = p;
+        walked.frontier = run_frontier(g, *make_program(algorithm), *schedule);
+        walked.result = walked.frontier->result;
+        const RunReport direct = HyveMachine(frontier).run_with_functional(
+            g, *schedule, *program, walked);
+        EXPECT_EQ(report_to_json(cached), report_to_json(direct));
+      }
+    }
+  }
+  EXPECT_EQ(functional.builds(), cells / 2);
+  EXPECT_EQ(functional.hits(), cells / 2);
 }
 
 TEST(FunctionalCache, ConcurrentAcquireBuildsEachKeyOnce) {

@@ -99,10 +99,13 @@ TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {
                               c.map_bytes;
     EXPECT_EQ(part.lazy_bytes(), columns);
     EXPECT_EQ(part.resident_bytes(), built);
-    // The weight-hash column adds 8 B/edge on first use, once.
-    part.edge_columns().weight_hash();
-    part.edge_columns().weight_hash();
-    const std::size_t weighted = built + e * sizeof(std::uint64_t);
+    // Each weight column adds 4 B/edge on first use, once per
+    // max_weight.
+    part.edge_columns().weights(64);
+    part.edge_columns().weights(64);
+    EXPECT_EQ(part.resident_bytes(), built + e * sizeof(std::uint32_t));
+    part.edge_columns().weights(1024);
+    const std::size_t weighted = built + 2 * e * sizeof(std::uint32_t);
     EXPECT_EQ(part.resident_bytes(), weighted);
     const std::size_t index = part.source_block_index().approx_bytes();
     EXPECT_EQ(part.resident_bytes(), weighted + index);
@@ -110,7 +113,7 @@ TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {
     EXPECT_TRUE(part.grouped_edges().empty());
     EXPECT_EQ(part.grouped_edges().capacity() * sizeof(Edge) +
                   part.lazy_bytes(),
-              columns + e * sizeof(std::uint64_t) + index);
+              columns + 2 * e * sizeof(std::uint32_t) + index);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -239,6 +240,93 @@ TEST(PartitionerProperty, MapVerticesIsDeterministic) {
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(a.interval_of(v), b.interval_of(v)) << spec.to_string();
   }
+}
+
+// HEP exactly as first written: phase 2 scans every vertex's full
+// undirected adjacency (2E entries) and skips the neighbours not placed
+// yet. The shipped map builds only the placed neighbours' lists; this
+// reference pins that the assignment did not move.
+std::vector<std::uint32_t> hep_full_adjacency_reference(const Graph& g,
+                                                        std::uint32_t p,
+                                                        double tau) {
+  constexpr std::uint32_t kUnassigned = ~std::uint32_t{0};
+  const VertexId v = g.num_vertices();
+  std::vector<std::uint32_t> degree(v, 0);
+  for (const Edge& e : g.edges()) {
+    ++degree[e.src];
+    ++degree[e.dst];
+  }
+  const double threshold =
+      tau * 2.0 * static_cast<double>(g.num_edges()) / static_cast<double>(v);
+  std::vector<VertexId> high;
+  for (VertexId u = 0; u < v; ++u)
+    if (static_cast<double>(degree[u]) > threshold) high.push_back(u);
+  std::sort(high.begin(), high.end(), [&](VertexId a, VertexId b) {
+    return degree[a] != degree[b] ? degree[a] > degree[b] : a < b;
+  });
+  const VertexId cap = (v + p - 1) / p;
+  std::vector<std::uint32_t> assignment(v, kUnassigned);
+  std::vector<std::uint64_t> load(p, 0);
+  std::vector<VertexId> population(p, 0);
+  // Phase 1: least edge-loaded interval with headroom, lowest index on
+  // ties (what the shipped min-heap of (load, index) pops).
+  for (const VertexId u : high) {
+    std::uint32_t chosen = kUnassigned;
+    for (std::uint32_t i = 0; i < p; ++i)
+      if (population[i] < cap &&
+          (chosen == kUnassigned || load[i] < load[chosen]))
+        chosen = i;
+    assignment[u] = chosen;
+    load[chosen] += degree[u];
+    ++population[chosen];
+  }
+  // Phase 2 over the full adjacency.
+  std::vector<std::vector<VertexId>> adjacency(v);
+  for (const Edge& e : g.edges()) {
+    adjacency[e.src].push_back(e.dst);
+    adjacency[e.dst].push_back(e.src);
+  }
+  for (VertexId u = 0; u < v; ++u) {
+    if (assignment[u] != kUnassigned) continue;
+    std::vector<std::uint32_t> affinity(p, 0);
+    for (const VertexId w : adjacency[u])
+      if (assignment[w] != kUnassigned) ++affinity[assignment[w]];
+    std::uint32_t best = kUnassigned;
+    for (std::uint32_t i = 0; i < p; ++i) {
+      if (population[i] >= cap) continue;
+      if (best == kUnassigned || affinity[i] > affinity[best] ||
+          (affinity[i] == affinity[best] && population[i] < population[best]))
+        best = i;
+    }
+    assignment[u] = best;
+    ++population[best];
+  }
+  return assignment;
+}
+
+TEST(PartitionerProperty, HepMatchesFullAdjacencyReference) {
+  // R-MAT hubs land in phase 1 at every tau; the third graph keeps the
+  // generator's self-loops and duplicate edges.
+  RmatParams raw;
+  raw.allow_self_loops = true;
+  raw.deduplicate = false;
+  const Graph graphs[] = {generate_rmat(3000, 24000, {}, 0x4E9),
+                          generate_rmat(997, 9000, {}, 0x4EA),
+                          generate_rmat(1500, 15000, raw, 0x4EB)};
+  for (const Graph& g : graphs)
+    for (const double tau : {0.5, 1.0, 2.0, 10.0})
+      for (const std::uint32_t p : {2u, 7u, 16u, 64u}) {
+        PartitionerSpec spec;
+        spec.strategy = PartitionStrategy::kHep;
+        spec.hep_tau = tau;
+        const VertexMap map = make_partitioner(spec)->map_vertices(g, p);
+        const std::vector<std::uint32_t> want =
+            hep_full_adjacency_reference(g, p, tau);
+        for (VertexId u = 0; u < g.num_vertices(); ++u)
+          ASSERT_EQ(map.interval_of(u), want[u])
+              << "V=" << g.num_vertices() << " tau=" << tau << " P=" << p
+              << " vertex " << u;
+      }
 }
 
 TEST(PartitionerProperty, RejectsMoreIntervalsThanVertices) {

@@ -6,11 +6,11 @@
 // an R-MAT at the paper's schedule granularity, and random graphs,
 // partition widths and mid-run states. These tests are the contract that
 // lets run_functional/run_frontier drive whole blocks. Also pins the
-// weight-hash column (built on first use) to Graph::edge_weight, proves
+// weight columns (built on first use) to Graph::edge_weight, proves
 // per-iteration pattern reuse is invisible in results and traces, and
-// exercises the build-once publication of the weight column and the
-// source-block index under concurrency (run under -L sweep-engine so the
-// ThreadSanitizer CI pass covers it).
+// exercises the build-once publication of the weight columns, the
+// source-block index and the out-degree table under concurrency (run
+// under -L sweep-engine so the ThreadSanitizer CI pass covers it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -347,22 +347,26 @@ TEST(FrontierTrace, SparseAccessorsMatchDenseExpansion) {
   EXPECT_GT(trace.approx_bytes(), sizeof(FrontierTrace));
 }
 
-TEST(ProcessBlock, WeightHashColumnMatchesEdgeWeight) {
+TEST(ProcessBlock, WeightColumnsMatchEdgeWeight) {
   const Graph g = generate_rmat(2000, 12000, {}, 0x5EED);
   const Partitioning part(g, 8);
+  const std::uint32_t max_weights[] = {1u, 7u, 64u, 1024u, 0xFFFFFFFFu};
   for (std::uint32_t y = 0; y < part.num_intervals(); ++y) {
     for (std::uint32_t x = 0; x < part.num_intervals(); ++x) {
       const EdgeBlockSoA block = part.block(x, y);
-      const std::uint64_t* const hash = block.weight_hash();
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        const Edge e = block.edge(i);
-        ASSERT_EQ(hash[i], Graph::edge_weight_hash(e));
-        for (const std::uint32_t max_weight : {1u, 7u, 64u, 255u})
-          ASSERT_EQ(Graph::edge_weight_from_hash(hash[i], max_weight),
-                    Graph::edge_weight(e, max_weight));
+      for (const std::uint32_t max_weight : max_weights) {
+        const std::uint32_t* const weight = block.weights(max_weight);
+        for (std::size_t i = 0; i < block.size(); ++i)
+          ASSERT_EQ(weight[i], Graph::edge_weight(block.edge(i), max_weight))
+              << "max_weight " << max_weight;
       }
     }
   }
+  // One 4-byte column per distinct max_weight, on top of src/dst.
+  EXPECT_EQ(part.lazy_bytes(),
+            g.num_edges() * (2 * sizeof(VertexId) +
+                             std::size(max_weights) * sizeof(std::uint32_t)));
+  EXPECT_THROW(part.edge_columns().weights(0), InvariantError);
 }
 
 TEST(ProcessBlock, PatternReuseIsTraceInvisible) {
@@ -411,32 +415,69 @@ TEST(PartitionLazyMemo, ConcurrentBuildersShareOneImage) {
   const Graph g = generate_rmat(4000, 24000, {}, 0xACE5);
   const Partitioning part(g, 16);
   const Partitioning copy = part;  // shares the columns and the index
-  // Sweep workers race into the same cached partitioning; every caller
-  // must observe exactly one published weight column and one index.
-  std::vector<const std::uint64_t*> hashes(8, nullptr);
+  // Sweep workers race into the same cached partitioning, half of them
+  // asking for the two weight columns in the other order; every caller
+  // must observe exactly one published column per max_weight and one
+  // index.
+  std::vector<const std::uint32_t*> w64(8, nullptr);
+  std::vector<const std::uint32_t*> w1024(8, nullptr);
   std::vector<const SourceBlockIndex*> indexes(8, nullptr);
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&, t] {
         const Partitioning& mine = (t % 2 == 0) ? part : copy;
-        hashes[t] = mine.edge_columns().weight_hash();
+        if (t < 4) {
+          w64[t] = mine.edge_columns().weights(64);
+          w1024[t] = mine.edge_columns().weights(1024);
+        } else {
+          w1024[t] = mine.edge_columns().weights(1024);
+          w64[t] = mine.edge_columns().weights(64);
+        }
         indexes[t] = &mine.source_block_index();
         // Re-reads hit the published fast path.
-        EXPECT_EQ(hashes[t], mine.block(0, 0).weight_hash());
+        EXPECT_EQ(w64[t], mine.block(0, 0).weights(64));
+        EXPECT_EQ(w1024[t], mine.block(0, 0).weights(1024));
         EXPECT_EQ(indexes[t], &mine.source_block_index());
       });
     }
     for (std::thread& th : threads) th.join();
   }
   for (int t = 1; t < 8; ++t) {
-    EXPECT_EQ(hashes[t], hashes[0]);
+    EXPECT_EQ(w64[t], w64[0]);
+    EXPECT_EQ(w1024[t], w1024[0]);
     EXPECT_EQ(indexes[t], indexes[0]);
   }
+  EXPECT_NE(w64[0], w1024[0]);
   EXPECT_EQ(&copy.edge_columns(), &part.edge_columns());
   EXPECT_EQ(part.lazy_bytes(),
-            g.num_edges() * (2 * sizeof(VertexId) + sizeof(std::uint64_t)) +
+            g.num_edges() * (2 * sizeof(VertexId) + 2 * sizeof(std::uint32_t)) +
                 indexes[0]->approx_bytes());
+}
+
+TEST(GraphLazyMemo, ConcurrentOutDegreeCallsShareOneTable) {
+  const Graph g = generate_rmat(4000, 24000, {}, 0xDE6);
+  const Graph copy = g;  // shares the table, counted or not
+  std::vector<std::uint32_t> recount(g.num_vertices(), 0);
+  for (const Edge& e : g.edges()) ++recount[e.src];
+  std::vector<const std::vector<std::uint32_t>*> tables(8, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t)
+      threads.emplace_back([&, t] {
+        tables[t] = &((t % 2 == 0) ? g : copy).out_degrees();
+      });
+    for (std::thread& th : threads) th.join();
+  }
+  for (int t = 1; t < 8; ++t) EXPECT_EQ(tables[t], tables[0]);
+  EXPECT_EQ(*tables[0], recount);
+  // A copy taken after the count shares it too.
+  const Graph late = g;
+  EXPECT_EQ(&late.out_degrees(), tables[0]);
+  // An equal graph built separately counts its own.
+  const Graph rebuilt(g.num_vertices(), g.edges());
+  EXPECT_NE(&rebuilt.out_degrees(), tables[0]);
+  EXPECT_EQ(rebuilt.out_degrees(), recount);
 }
 
 #ifndef NDEBUG

@@ -123,7 +123,7 @@ int run_metrics_census() {
 
   // Frontier-mode BFS and SSSP runs: the pattern-reuse tallies
   // (sim.kernel.blocks_skipped / edges_skipped) and the weight column a
-  // weighted program builds on first use (edge_columns.weight_hash).
+  // weighted program builds on first use (edge_columns.weights).
   {
     exp::SweepSpec frontier_spec;
     HyveConfig frontier_config = HyveConfig::hyve_opt();
