@@ -192,7 +192,6 @@ struct JsonReport {
 //   --partitioner SPEC    partitioning strategy for every cell
 //   --smoke               deterministic stand-ins for wall-clock timings
 //   --graph-cache-mb N    byte budget for the shared graph cache
-//   --ooc-window-mb N     decode-window budget per blocked graph reader
 //   --partition-cache N   entry cap for the shared partition cache
 //   --cache-stats         print cache counters to stderr after the run
 //   --json PATH           write a versioned bench report JSON of the run
@@ -262,14 +261,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
                   graph_cache().set_byte_budget(
                       units::MiB(static_cast<std::uint64_t>(cli::parse_int(
                           parser, "--graph-cache-mb", v, 0, 1 << 20))));
-                });
-  parser.option("--ooc-window-mb", "N",
-                "decoded-block window budget per out-of-core blocked graph "
-                "reader in MiB (0 = unbounded; default 0)",
-                [&](const std::string& v) {
-                  graph_cache().set_ooc_window_budget(
-                      units::MiB(static_cast<std::uint64_t>(cli::parse_int(
-                          parser, "--ooc-window-mb", v, 0, 1 << 20))));
                 });
   parser.option("--partition-cache", "N",
                 "partition cache entry cap (0 = unbounded; default 0)",

@@ -4,16 +4,16 @@
 # instructions), an observability smoke run (--metrics/--trace on a tiny
 # graph), a bench-json smoke run (--json + hyve_report --check/--compare,
 # byte-diffed across --jobs), a functional-cache smoke run (the always-on
-# memo must hit and stay byte-identical across --jobs), an out-of-core
-# smoke run (blocked graph streamed under --ooc-window-mb, byte-diffed
-# against the in-memory run), a live-telemetry smoke run (--live-status snapshots,
-# hyve_top, and the SIGTERM flight-record path), a docs/METRICS.md
-# drift check, a kernel-regression smoke run (bench_micro's built-in
-# layout-equivalence gate plus an end-to-end proof that pattern reuse
-# never changes a byte of sweep output), the sweep-engine concurrency
-# tests under ThreadSanitizer, then every unit test in a Debug
-# AddressSanitizer + UBSan build (which also compiles the NDEBUG-gated
-# debug checks).
+# memo must hit and stay byte-identical across --jobs), a graph-file
+# smoke run (a .bin graph and its text conversion simulate identically;
+# out-of-range R-MAT vertex counts exit 2), a live-telemetry smoke run
+# (--live-status snapshots, hyve_top, and the SIGTERM flight-record
+# path), a docs/METRICS.md drift check, a kernel-regression smoke run
+# (bench_micro's built-in layout-equivalence gate plus an end-to-end
+# proof that pattern reuse never changes a byte of sweep output), the
+# sweep-engine concurrency tests under ThreadSanitizer, then every unit
+# test in a Debug AddressSanitizer + UBSan build (which also compiles
+# the NDEBUG-gated debug checks).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -145,33 +145,32 @@ grep -q 'partition cache\[hep:tau=2\]:' "$obs_dir/part_stats.txt" ||
   { echo "partitioner-smoke: hep bench report rejected" >&2; exit 1; }
 echo "partitioner-smoke: OK"
 
-# ooc-smoke: a blocked graph bigger than the decode window must stream
-# through hyve_sim with the same stdout as the in-memory (unbounded)
-# run, the chunked generator path must round-trip through convert, and
-# the reported peak window residency must respect --ooc-window-mb.
-./build/tools/hyve_graphgen rmat 40000 240000 "$obs_dir/ooc.hgb" >/dev/null
-./build/tools/hyve_sim --graph "$obs_dir/ooc.hgb" --algo pr --csv \
-  > "$obs_dir/ooc_mem.csv" 2>/dev/null
-./build/tools/hyve_sim --graph "$obs_dir/ooc.hgb" --graph-format blocked \
-  --ooc-window-mb 1 --algo pr --csv --metrics \
-  > "$obs_dir/ooc_win.csv" 2>"$obs_dir/ooc_metrics.txt"
-cmp "$obs_dir/ooc_mem.csv" "$obs_dir/ooc_win.csv" ||
-  { echo "ooc-smoke: windowed run differs from in-memory run" >&2; exit 1; }
-grep -q 'sim\.ooc\.blocks_mapped=' "$obs_dir/ooc_metrics.txt" ||
-  { echo "ooc-smoke: window counters missing" >&2; exit 1; }
-peak=$(sed -n 's/^sim\.ooc\.window_peak_bytes=//p' "$obs_dir/ooc_metrics.txt")
-[ -n "$peak" ] && [ "$peak" -le 1048576 ] ||
-  { echo "ooc-smoke: peak window $peak exceeds 1 MiB budget" >&2; exit 1; }
-./build/tools/hyve_graphgen convert "$obs_dir/ooc.hgb" "$obs_dir/ooc.bin" \
+# graph-file-smoke: a generated .bin graph and its text conversion must
+# simulate to the same hyve_sim --csv output, apart from the path
+# column; R-MAT vertex counts beyond 2^31 must be usage errors (exit 2)
+# in both tools, never a silently different graph.
+./build/tools/hyve_graphgen rmat 40000 240000 "$obs_dir/g.bin" >/dev/null
+./build/tools/hyve_graphgen convert "$obs_dir/g.bin" "$obs_dir/g.txt" \
   >/dev/null
-./build/tools/hyve_sim --graph "$obs_dir/ooc.bin" --algo pr --csv \
-  > "$obs_dir/ooc_bin.csv" 2>/dev/null
-# Drop the graph-path column (the only legitimate difference).
-cut -d, -f2- "$obs_dir/ooc_mem.csv" > "$obs_dir/ooc_mem.cut"
-cut -d, -f2- "$obs_dir/ooc_bin.csv" > "$obs_dir/ooc_bin.cut"
-cmp "$obs_dir/ooc_mem.cut" "$obs_dir/ooc_bin.cut" ||
-  { echo "ooc-smoke: blocked->bin convert changed the graph" >&2; exit 1; }
-echo "ooc-smoke: OK"
+for f in bin txt; do
+  ./build/tools/hyve_sim --graph "$obs_dir/g.$f" --algo pr --csv \
+    > "$obs_dir/g_$f.csv" 2>/dev/null
+  cut -d, -f2- "$obs_dir/g_$f.csv" > "$obs_dir/g_$f.cut"
+done
+cmp "$obs_dir/g_bin.cut" "$obs_dir/g_txt.cut" ||
+  { echo "graph-file-smoke: .bin and text runs differ" >&2; exit 1; }
+rc=0
+./build/tools/hyve_graphgen rmat 5000000000 10 "$obs_dir/x.bin" \
+  >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] && [ ! -e "$obs_dir/x.bin" ] ||
+  { echo "graph-file-smoke: hyve_graphgen took V = 5000000000" \
+         "(exit $rc)" >&2; exit 1; }
+rc=0
+./build/tools/hyve_sim --rmat 3000000000x10 >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] ||
+  { echo "graph-file-smoke: hyve_sim took --rmat 3000000000x10" \
+         "(exit $rc)" >&2; exit 1; }
+echo "graph-file-smoke: OK"
 
 # perf-history: record two smoke reports into a throwaway ledger, the
 # trend must pass; a sed-injected wall-clock regression appended as a

@@ -14,8 +14,7 @@ GraphCache::GraphCache()
              .cost =
                  [](const Graph& g) {
                    return sizeof(Graph) + g.edges().capacity() * sizeof(Edge);
-                 },
-             .external_cost = [this] { return window_bytes(); }}) {
+                 }}) {
   for (const DatasetId id : kAllDatasets) {
     // Non-owning view into dataset_graph()'s process-wide store: nothing
     // for this cache to free, so the entry is pinned.
@@ -61,10 +60,7 @@ std::shared_ptr<const Graph> GraphCache::acquire(const std::string& key) {
     HYVE_CHECK_MSG(it != sources_.end(), "unknown graph key: " << key);
     source = &it->second;
   }
-  std::shared_ptr<const Graph> graph =
-      memo_.acquire(key, source->build, source->pinned);
-  release_windows_over_budget();
-  return graph;
+  return memo_.acquire(key, source->build, source->pinned);
 }
 
 std::shared_ptr<const Graph> GraphCache::acquire_balanced(
@@ -74,69 +70,6 @@ std::shared_ptr<const Graph> GraphCache::acquire_balanced(
   return memo_.acquire(balanced_key(key, seed), [&] {
     return acquire(key)->hashed_remap(seed);
   });
-}
-
-std::size_t GraphCache::window_bytes() const {
-  const std::scoped_lock lock(mu_);
-  std::size_t bytes = 0;
-  for (const auto& [key, blocked] : blocked_)
-    if (blocked.reader) bytes += blocked.reader->window_resident_bytes();
-  return bytes;
-}
-
-void GraphCache::release_windows_over_budget() {
-  const std::size_t budget = memo_.budget();
-  if (budget == 0 || memo_.resident() + window_bytes() <= budget) return;
-  const std::scoped_lock lock(mu_);
-  for (auto& [key, blocked] : blocked_)
-    if (blocked.reader) blocked.reader->release_window();
-}
-
-void GraphCache::add_blocked(const std::string& key,
-                             const std::string& path) {
-  {
-    const std::scoped_lock lock(mu_);
-    const bool inserted = blocked_.emplace(key, Blocked{path, nullptr}).second;
-    HYVE_CHECK_MSG(inserted, "blocked graph key already registered: " << key);
-  }
-  // The materialised view registers like any generated graph: evictable,
-  // rebuilt from the file (through the bounded window) after eviction.
-  add_source(key, {[this, key] {
-                     return std::make_shared<const Graph>(
-                         materialize(*acquire_blocked(key)));
-                   },
-                   /*pinned=*/false});
-}
-
-std::shared_ptr<BlockedGraphReader> GraphCache::acquire_blocked(
-    const std::string& key) {
-  const std::scoped_lock lock(mu_);
-  const auto it = blocked_.find(key);
-  HYVE_CHECK_MSG(it != blocked_.end(), "unknown blocked graph key: " << key);
-  Blocked& blocked = it->second;
-  if (!blocked.reader) {
-    BlockedReaderOptions options;
-    options.window_bytes = ooc_window_budget_;
-    blocked.reader =
-        std::make_shared<BlockedGraphReader>(blocked.path, options);
-  }
-  return blocked.reader;
-}
-
-void GraphCache::set_ooc_window_budget(std::size_t bytes) {
-  const std::scoped_lock lock(mu_);
-  ooc_window_budget_ = bytes;
-  for (auto& [key, blocked] : blocked_)
-    if (blocked.reader) blocked.reader->set_window_budget(bytes);
-}
-
-void GraphCache::set_byte_budget(std::size_t bytes) {
-  memo_.set_budget(bytes);
-  release_windows_over_budget();
-}
-
-std::size_t GraphCache::resident_bytes() const {
-  return memo_.resident() + window_bytes();
 }
 
 std::size_t default_graph_cache_budget(bool smoke) {

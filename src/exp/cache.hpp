@@ -28,7 +28,6 @@
 
 #include "core/machine.hpp"
 #include "exp/memo.hpp"
-#include "graph/blocked_reader.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
@@ -51,20 +50,6 @@ class GraphCache {
   // Registers an already-built graph. The cache pins it (it owns the only
   // copy and cannot rebuild it), so it is exempt from eviction.
   void add(const std::string& key, Graph graph);
-
-  // Registers a HyVEgrf2 blocked file (graph/blocked_reader.hpp).
-  // acquire() materialises it through the streaming window (evictable
-  // and rebuildable from disk like any generated graph);
-  // acquire_blocked() hands out the reader itself for consumers that can
-  // stream. Reader windows are opened with the ooc window budget and
-  // their residency counts against the cache's byte budget.
-  void add_blocked(const std::string& key, const std::string& path);
-  std::shared_ptr<BlockedGraphReader> acquire_blocked(const std::string& key);
-
-  // Decoded-window byte budget applied to each blocked reader this
-  // cache opens (0 = unbounded, the default). Applies to already-open
-  // readers immediately.
-  void set_ooc_window_budget(std::size_t bytes);
 
   bool contains(const std::string& key) const;
 
@@ -91,14 +76,11 @@ class GraphCache {
 
   // LRU byte budget over owned graphs (0 = unbounded, the default).
   // Dataset-backed and pinned entries are exempt; everything else is
-  // evicted least-recently-used first until the budget holds. When that
-  // is not enough, the blocked readers' decode windows are released too
-  // (their blocks refault from the mapped file on next use).
-  void set_byte_budget(std::size_t bytes);
+  // evicted least-recently-used first until the budget holds.
+  void set_byte_budget(std::size_t bytes) { memo_.set_budget(bytes); }
   std::size_t byte_budget() const { return memo_.budget(); }
-  // Bytes of owned graphs plus blocked-reader decode windows currently
-  // resident.
-  std::size_t resident_bytes() const;
+  // Bytes of owned graphs currently resident.
+  std::size_t resident_bytes() const { return memo_.resident(); }
 
   MemoStats stats() const { return memo_.stats(); }
   // Graphs materialised so far, rebuilds after eviction included.
@@ -110,21 +92,12 @@ class GraphCache {
     std::function<std::shared_ptr<const Graph>()> build;
     bool pinned = false;
   };
-  struct Blocked {
-    std::string path;
-    std::shared_ptr<BlockedGraphReader> reader;  // opened lazily
-  };
 
   void add_source(const std::string& key, Source source);
-  std::size_t window_bytes() const;
-  void release_windows_over_budget();
 
-  // Guards sources_, blocked_ and the window budget. Never held while
-  // calling into memo_ (whose budget check reads window_bytes()).
+  // Guards sources_. Never held while calling into memo_.
   mutable std::mutex mu_;
   std::map<std::string, Source> sources_;  // never erased: nodes are stable
-  std::map<std::string, Blocked> blocked_;
-  std::size_t ooc_window_budget_ = 0;
   Memo<std::string, Graph> memo_;
 };
 

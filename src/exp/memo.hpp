@@ -55,9 +55,6 @@ class Memo {
     // Attribution of the counters by tag, computed once per key; unset
     // means none.
     std::function<std::string(const Key&)> tag = {};
-    // Cost held outside the memo that counts against its budget. Called
-    // under the memo's lock, so it must not call back into the memo.
-    std::function<std::size_t()> external_cost = {};
   };
 
   explicit Memo(Config config) : config_(std::move(config)) {}
@@ -159,9 +156,7 @@ class Memo {
   // Evicts least-recently-used entries other than `keep` and the pinned
   // ones until the budget holds, then refreshes the resident gauge.
   void evict_locked(const Entry* keep) {
-    while (budget_ > 0 &&
-           resident_ + (config_.external_cost ? config_.external_cost() : 0) >
-               budget_) {
+    while (budget_ > 0 && resident_ > budget_) {
       Entry* victim = nullptr;
       for (const auto& [key, entry] : entries_)
         if (entry->value && !entry->pinned && entry.get() != keep &&

@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "graph/blocked_format.hpp"
 #include "graph/graph.hpp"
 
 namespace hyve {
@@ -28,31 +26,16 @@ struct RmatParams {
   bool deduplicate = true;
 };
 
+// Largest R-MAT vertex count: the descent rounds it up to a power of two,
+// which must still fit VertexId.
+inline constexpr VertexId kMaxRmatVertices = VertexId{1} << 31;
+
 // Generates an R-MAT graph with ~target_edges distinct edges over
 // num_vertices vertices (rounded up internally to a power of two for the
 // recursive quadrant descent, then rejected down to num_vertices).
+// num_vertices must lie in [2, kMaxRmatVertices].
 Graph generate_rmat(VertexId num_vertices, std::uint64_t target_edges,
                     const RmatParams& params, std::uint64_t seed);
-
-struct RmatChunkOptions {
-  // In-memory buffer per sorted run (edges); the generator's peak
-  // footprint is ~chunk_edges * 8 bytes plus small merge buffers, never
-  // the full edge vector.
-  std::uint64_t chunk_edges = std::uint64_t{1} << 20;
-  blocked::WriteOptions write;
-};
-
-// Chunked generation straight to a HyVEgrf2 blocked file: edges are
-// produced in chunk_edges-sized sorted runs spilled to temp files next
-// to `path`, deduplicated by a streaming k-way merge, and emitted block
-// by block — the full edge vector is never materialised. The resulting
-// edge set is bit-identical to generate_rmat() with the same arguments
-// (same RNG consumption per oversampling round, same sorted-unique
-// truncation to target_edges), which io tests pin.
-void generate_rmat_blocked(const std::string& path, VertexId num_vertices,
-                           std::uint64_t target_edges,
-                           const RmatParams& params, std::uint64_t seed,
-                           const RmatChunkOptions& options = {});
 
 // Uniform random directed graph (no self loops, deduplicated).
 Graph generate_erdos_renyi(VertexId num_vertices, std::uint64_t target_edges,

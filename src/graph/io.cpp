@@ -8,9 +8,6 @@
 #include <sstream>
 #include <string>
 
-#include "graph/blocked_format.hpp"
-#include "graph/blocked_reader.hpp"
-#include "graph/graph_source.hpp"
 #include "obs/host_profiler.hpp"
 #include "util/check.hpp"
 
@@ -143,10 +140,7 @@ Graph load_graph_auto(const std::string& path) {
     in.read(reinterpret_cast<char*>(&magic), sizeof magic);
     if (!in) magic = 0;  // shorter than 8 bytes: treat as text
   }
-  if (magic == kMagic) return load_graph_binary(path);
-  if (magic == blocked::kMagic)
-    return materialize(BlockedGraphReader(path));
-  return load_edge_list_text(path);
+  return magic == kMagic ? load_graph_binary(path) : load_edge_list_text(path);
 }
 
 }  // namespace hyve

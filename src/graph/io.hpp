@@ -2,9 +2,7 @@
 //
 // Text format matches SNAP's ("# comment" lines, then "src<ws>dst" pairs),
 // so users can drop in the paper's original datasets where licensing
-// allows. The binary format is a fast cache used by the dataset registry;
-// the out-of-core blocked format (graph/blocked_format.hpp) is the
-// streaming sibling for graphs that do not fit memory.
+// allows. The binary format is a fast cache used by the dataset registry.
 #pragma once
 
 #include <stdexcept>
@@ -36,10 +34,9 @@ void save_edge_list_text(const Graph& g, const std::string& path);
 Graph load_graph_binary(const std::string& path);
 void save_graph_binary(const Graph& g, const std::string& path);
 
-// Loads any of the three formats, dispatching on the leading magic
-// bytes (HyVEgrf0 flat binary, HyVEgrf2 blocked — materialised through
-// a streaming window) and falling back to SNAP text. The single entry
-// point for tools that take a user-supplied path.
+// Loads either format: the binary cache when the file starts with its
+// magic bytes, SNAP text otherwise. The single entry point for tools
+// that take a user-supplied path.
 Graph load_graph_auto(const std::string& path);
 
 }  // namespace hyve

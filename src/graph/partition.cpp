@@ -82,42 +82,35 @@ std::size_t VertexMap::resident_bytes() const {
 }
 
 Partitioning::Partitioning(const Graph& g, VertexMap map)
-    : Partitioning(InMemoryGraphSource(g), std::move(map)) {}
-
-Partitioning::Partitioning(const GraphSource& source, VertexMap map)
     : map_(std::move(map)) {
   const obs::HostSpan host_span("partition.build");
-  build(source);
+  build(g);
 }
 
-void Partitioning::build(const GraphSource& source) {
-  HYVE_CHECK_MSG(map_.num_vertices() == source.num_vertices(),
+void Partitioning::build(const Graph& g) {
+  HYVE_CHECK_MSG(map_.num_vertices() == g.num_vertices(),
                  "vertex map covers " << map_.num_vertices()
                                       << " vertices but the graph has "
-                                      << source.num_vertices());
+                                      << g.num_vertices());
 
-  // Counting sort of edges by block index: one streamed pass to count,
-  // one to place straight into the src/dst columns, which are all that
-  // is ever resident.
+  // Counting sort of edges by block index: one pass to count, one to
+  // place straight into the src/dst columns, which are all that is ever
+  // resident.
   const std::uint64_t blocks = num_blocks();
   offsets_.assign(blocks + 1, 0);
-  source.for_each_chunk([&](std::span<const Edge> chunk) {
-    for (const Edge& e : chunk)
-      ++offsets_[block_index(interval_of(e.src), interval_of(e.dst)) + 1];
-  });
+  for (const Edge& e : g.edges())
+    ++offsets_[block_index(interval_of(e.src), interval_of(e.dst)) + 1];
   for (std::uint64_t b = 0; b < blocks; ++b) offsets_[b + 1] += offsets_[b];
 
-  std::vector<VertexId> src(source.num_edges());
-  std::vector<VertexId> dst(source.num_edges());
+  std::vector<VertexId> src(g.num_edges());
+  std::vector<VertexId> dst(g.num_edges());
   std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  source.for_each_chunk([&](std::span<const Edge> chunk) {
-    for (const Edge& e : chunk) {
-      const std::uint64_t at =
-          cursor[block_index(interval_of(e.src), interval_of(e.dst))]++;
-      src[at] = e.src;
-      dst[at] = e.dst;
-    }
-  });
+  for (const Edge& e : g.edges()) {
+    const std::uint64_t at =
+        cursor[block_index(interval_of(e.src), interval_of(e.dst))]++;
+    src[at] = e.src;
+    dst[at] = e.dst;
+  }
 
   // Replication: one pass over the grouped (block-major) edges with a
   // per-vertex last-block stamp, done here once per schedule so that

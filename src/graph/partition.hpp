@@ -25,7 +25,6 @@
 
 #include "graph/edge_columns.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_source.hpp"
 
 namespace hyve {
 
@@ -110,15 +109,9 @@ struct SourceBlockIndex {
 class Partitioning {
  public:
   // Groups g's edges into P*P blocks with a counting sort over `map`
-  // (which must cover exactly g's vertices).
+  // (which must cover exactly g's vertices). The sort is stable: each
+  // block keeps its edges in g's order.
   Partitioning(const Graph& g, VertexMap map);
-
-  // Streaming equivalent: two passes over the source's edge chunks (one
-  // to count, one to place), so an out-of-core graph is partitioned
-  // without ever holding its unpartitioned edge vector. The grouped
-  // layout is identical to the Graph overload's (the counting sort is
-  // stable in chunk order).
-  Partitioning(const GraphSource& source, VertexMap map);
 
   // Convenience: the paper's equal-width interval-block split. P >= 1
   // and P <= V (unless V == 0).
@@ -199,7 +192,7 @@ class Partitioning {
 
   // The counting sort and replication walk over map_, shared by every
   // constructor; the caller holds the partition.build host span.
-  void build(const GraphSource& source);
+  void build(const Graph& g);
 
   // The source-block index, shared across copies (the columns it
   // derives from are). Built once under `mu`; the atomic publishes the

@@ -429,7 +429,7 @@ Partitioning Partitioner::partition(const Graph& g,
   const obs::HostSpan host_span("partition.build");
   Partitioning schedule;
   schedule.map_ = map_vertices(g, num_intervals);
-  schedule.build(InMemoryGraphSource(g));
+  schedule.build(g);
   return schedule;
 }
 

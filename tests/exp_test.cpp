@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -23,7 +22,6 @@
 #include "algos/gas.hpp"
 #include "core/report_io.hpp"
 #include "exp/sweep.hpp"
-#include "graph/blocked_format.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
 
@@ -458,41 +456,65 @@ TEST(CacheEviction, GraphCachePinnedAndDatasetEntriesAreExempt) {
   EXPECT_GE(cache.evictions(), evictions);
 }
 
-TEST(CacheEviction, GraphCacheServesBlockedFilesThroughWindow) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("hyve-exp-blocked-" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string file = (dir / "g.hgb").string();
-  const Graph g = generate_rmat(1000, 20000, {}, 21);
-  blocked::WriteOptions options;
-  options.block_edges = 1024;
-  blocked::write_blocked(g, file, options);
-
+TEST(CacheEviction, GraphCacheResidentBytesCountOwnedGraphsOnly) {
+  // resident_bytes() is what eviction can free: the owned graphs' heap
+  // footprint. A pinned graph costs nothing.
   exp::GraphCache cache;
-  cache.set_ooc_window_budget(16 * 1024);
-  cache.add_blocked("ooc", file);
+  cache.add("pinned", generate_rmat(1000, 6000, {}, 6));
+  cache.add("owned", [] { return generate_rmat(1000, 8000, {}, 7); });
+  cache.acquire("pinned");
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  const auto owned = cache.acquire("owned");
+  EXPECT_EQ(cache.resident_bytes(),
+            sizeof(Graph) + owned->edges().capacity() * sizeof(Edge));
+}
 
-  // The reader streams with the configured window bound.
-  const auto reader = cache.acquire_blocked("ooc");
-  EXPECT_EQ(reader->window_budget(), 16u * 1024u);
-  EXPECT_GT(reader->num_blocks(), 4u);
-
-  // acquire() materialises the same edges the in-memory graph holds,
-  // and the decode window never exceeds its budget doing so.
-  const auto materialised = cache.acquire("ooc");
-  EXPECT_EQ(materialised->edges(), g.edges());
-  EXPECT_LE(reader->window_peak_bytes(), 16u * 1024u);
-
-  // Window residency is part of the cache's resident bytes; a tiny
-  // byte budget forces the materialised copy out and then drains the
-  // window too, after which the entry is still rebuildable.
-  EXPECT_GE(cache.resident_bytes(), reader->window_resident_bytes());
+TEST(CacheEviction, LoweringTheGraphBudgetEvictsAtOnce) {
+  // Unbounded, every built graph stays; a budget set later drops the
+  // owned graphs right away, and each rebuilds on its next acquire.
+  exp::GraphCache cache;
+  cache.add("a", [] { return generate_rmat(1000, 8000, {}, 8); });
+  cache.add("b", [] { return generate_rmat(1000, 8000, {}, 9); });
+  const std::vector<Edge> a_edges = cache.acquire("a")->edges();
+  cache.acquire("b");
+  EXPECT_EQ(cache.evictions(), 0u);
   cache.set_byte_budget(1);
-  EXPECT_EQ(reader->window_resident_bytes(), 0u);
-  EXPECT_EQ(cache.acquire("ooc")->edges(), g.edges());
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  EXPECT_EQ(cache.acquire("a")->edges(), a_edges);
+  EXPECT_EQ(cache.builds(), 3u);
+}
 
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+TEST(CacheEviction, GraphCacheEvictsLeastRecentlyUsedFirst) {
+  exp::GraphCache cache;
+  for (const char* key : {"a", "b", "c"})
+    cache.add(key, [] { return generate_rmat(1000, 8000, {}, 10); });
+  cache.acquire("a");
+  const std::size_t one_graph = cache.resident_bytes();
+  cache.set_byte_budget(2 * one_graph);  // room for two graphs
+  cache.acquire("b");
+  cache.acquire("a");  // "b" is now the least recently used
+  cache.acquire("c");
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), 2 * one_graph);
+  const std::size_t builds = cache.builds();
+  cache.acquire("a");
+  cache.acquire("c");
+  EXPECT_EQ(cache.builds(), builds);  // both stayed resident
+  cache.acquire("b");
+  EXPECT_EQ(cache.builds(), builds + 1);
+}
+
+TEST(GraphCache, RejectsDuplicateAndUnknownKeys) {
+  exp::GraphCache cache;
+  cache.add("g", [] { return generate_rmat(100, 400, {}, 11); });
+  EXPECT_THROW(cache.add("g", generate_rmat(100, 400, {}, 12)),
+               InvariantError);
+  // Dataset names are registered up front.
+  EXPECT_THROW(cache.add("YT", [] { return generate_rmat(100, 400, {}, 13); }),
+               InvariantError);
+  EXPECT_THROW(cache.acquire("unknown"), InvariantError);
+  EXPECT_EQ(cache.builds(), 0u);
 }
 
 TEST(CacheEviction, SweepUnderTightCachesStaysDeterministic) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
@@ -58,6 +59,29 @@ TEST(Rmat, RejectsBadProbabilities) {
 
 TEST(Rmat, RejectsDegenerateVertexCount) {
   EXPECT_THROW(generate_rmat(1, 10, {}, 1), InvariantError);
+  // Above 2^31 the power-of-two scale no longer fits a 32-bit id.
+  EXPECT_THROW(generate_rmat(kMaxRmatVertices + 1, 10, {}, 1),
+               InvariantError);
+}
+
+TEST(Rmat, TopVertexCountStillGeneratesEdges) {
+  // 2^31 is the largest accepted count: the quadrant descent spans all
+  // 31 id bits, so edges reach the upper half of the id space.
+  const Graph g = generate_rmat(kMaxRmatVertices, 1000, {}, 1);
+  EXPECT_EQ(g.num_edges(), 1000u);
+  EXPECT_TRUE(std::any_of(g.edges().begin(), g.edges().end(),
+                          [](const Edge& e) {
+                            return e.src >= VertexId{1} << 30;
+                          }));
+}
+
+TEST(Rmat, RequestBeyondDistinctEdgesReturnsEveryEdge) {
+  // V = 2 has only two distinct non-loop edges. Asking for more ends
+  // after the bounded oversampling rounds, with both of them.
+  const Graph g = generate_rmat(2, 10, {}, 1);
+  std::vector<Edge> edges = g.edges();
+  std::sort(edges.begin(), edges.end());
+  EXPECT_EQ(edges, (std::vector<Edge>{{0, 1}, {1, 0}}));
 }
 
 TEST(Rmat, SkewedParamsProduceSkewedDegrees) {

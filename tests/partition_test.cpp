@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "graph/partitioner.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -57,19 +59,107 @@ TEST(Partitioning, EveryEdgeInExactlyItsBlock) {
 }
 
 TEST(Partitioning, PreservesEdgeMultiset) {
-  const Graph g = generate_rmat(400, 3000, {}, 23);
-  const Partitioning part(g, 7);
-  std::vector<Edge> grouped;
-  for (std::uint32_t x = 0; x < 7; ++x)
-    for (std::uint32_t y = 0; y < 7; ++y) {
-      const EdgeBlockSoA block = part.block(x, y);
-      for (std::size_t i = 0; i < block.size(); ++i)
-        grouped.push_back(block.edge(i));
-    }
-  auto original = g.edges();
-  std::sort(grouped.begin(), grouped.end());
-  std::sort(original.begin(), original.end());
-  EXPECT_EQ(grouped, original);
+  // The build is a stable counting sort: its block-major concatenation
+  // is the input stably sorted by (interval of src, interval of dst).
+  // In-pass propagation follows that order, so iteration counts depend
+  // on it. The input is shuffled so that a sort by whole edge would fail.
+  const Graph rmat = generate_rmat(400, 3000, {}, 23);
+  std::vector<Edge> edges = rmat.edges();
+  std::shuffle(edges.begin(), edges.end(), std::mt19937(23));
+  const Graph g(rmat.num_vertices(), std::move(edges));
+  const std::pair<const char*, Partitioning> schedules[] = {
+      {"interval", Partitioning(g, 7)},
+      {"hep:tau=2",
+       make_partitioner(*parse_partitioner("hep:tau=2"))->partition(g, 7)}};
+  for (const auto& [strategy, part] : schedules) {
+    SCOPED_TRACE(strategy);
+    std::vector<Edge> grouped;
+    for (std::uint32_t x = 0; x < 7; ++x)
+      for (std::uint32_t y = 0; y < 7; ++y) {
+        const EdgeBlockSoA block = part.block(x, y);
+        for (std::size_t i = 0; i < block.size(); ++i)
+          grouped.push_back(block.edge(i));
+      }
+    std::vector<Edge> expected = g.edges();
+    const auto block_of = [&](const Edge& e) {
+      return std::pair(part.interval_of(e.src), part.interval_of(e.dst));
+    };
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](const Edge& a, const Edge& b) {
+                       return block_of(a) < block_of(b);
+                     });
+    EXPECT_EQ(grouped, expected);
+  }
+}
+
+TEST(Partitioning, ExplicitMapKeepsInputOrderWithinBlocks) {
+  // A non-contiguous map: intervals are populations, not index ranges.
+  // Each block lists its edges in the order the graph holds them.
+  const Graph g(6, {{4, 0}, {1, 3}, {5, 2}, {0, 2}, {3, 1}, {2, 4}, {1, 5},
+                    {4, 2}, {3, 3}, {0, 4}});
+  const Partitioning part(
+      g, VertexMap::from_assignment({1, 0, 1, 0, 2, 2}, 3));
+  EXPECT_FALSE(part.vertex_map().is_contiguous());
+  const auto edges_of = [&](std::uint32_t x, std::uint32_t y) {
+    std::vector<Edge> out;
+    const EdgeBlockSoA block = part.block(x, y);
+    for (std::size_t i = 0; i < block.size(); ++i)
+      out.push_back(block.edge(i));
+    return out;
+  };
+  EXPECT_EQ(edges_of(0, 0), (std::vector<Edge>{{1, 3}, {3, 1}, {3, 3}}));
+  EXPECT_EQ(edges_of(0, 2), (std::vector<Edge>{{1, 5}}));
+  EXPECT_EQ(edges_of(1, 1), (std::vector<Edge>{{0, 2}}));
+  EXPECT_EQ(edges_of(1, 2), (std::vector<Edge>{{2, 4}, {0, 4}}));
+  EXPECT_EQ(edges_of(2, 1), (std::vector<Edge>{{4, 0}, {5, 2}, {4, 2}}));
+  EXPECT_EQ(part.non_empty_blocks(), 5u);
+}
+
+TEST(Partitioning, PartitionerScheduleEqualsDirectBuild) {
+  // Partitioner::partition and the Partitioning constructors share one
+  // build: over the same map they lay out the same columns.
+  const Graph g = generate_rmat(500, 4000, {}, 41);
+  const auto columns_of = [](const Partitioning& part) {
+    const EdgeBlockSoA all = part.edge_columns().all();
+    return std::pair(
+        std::vector<VertexId>(all.sources().begin(), all.sources().end()),
+        std::vector<VertexId>(all.destinations().begin(),
+                              all.destinations().end()));
+  };
+  for (const char* strategy : {"interval", "hep:tau=2"}) {
+    SCOPED_TRACE(strategy);
+    const auto partitioner = make_partitioner(*parse_partitioner(strategy));
+    const Partitioning scheduled = partitioner->partition(g, 6);
+    const Partitioning direct(g, partitioner->map_vertices(g, 6));
+    EXPECT_EQ(columns_of(scheduled), columns_of(direct));
+    for (std::uint32_t x = 0; x < 6; ++x)
+      for (std::uint32_t y = 0; y < 6; ++y)
+        EXPECT_EQ(scheduled.block_edge_count(x, y),
+                  direct.block_edge_count(x, y));
+    EXPECT_EQ(scheduled.replication().copies, direct.replication().copies);
+    EXPECT_EQ(scheduled.replication().touched, direct.replication().touched);
+  }
+  const Partitioning interval =
+      make_partitioner(*parse_partitioner("interval"))->partition(g, 6);
+  EXPECT_EQ(columns_of(interval), columns_of(Partitioning(g, 6)));
+}
+
+TEST(Partitioning, EdgelessGraphBuildsAnEmptyGrid) {
+  const Graph g(10, {});
+  const Partitioning part(g, 3);
+  EXPECT_EQ(part.num_edges(), 0u);
+  EXPECT_EQ(part.non_empty_blocks(), 0u);
+  for (std::uint32_t x = 0; x < 3; ++x)
+    for (std::uint32_t y = 0; y < 3; ++y)
+      EXPECT_EQ(part.block(x, y).size(), 0u);
+  EXPECT_EQ(part.replication().copies, 0u);
+  EXPECT_EQ(part.replication().touched, 0u);
+}
+
+TEST(Partitioning, RejectsVertexMapOfAnotherSize) {
+  const Graph g = paper_example_graph();  // 8 vertices
+  EXPECT_THROW(Partitioning(g, VertexMap::uniform(7, 2)), InvariantError);
+  EXPECT_THROW(Partitioning(g, VertexMap::uniform(9, 2)), InvariantError);
 }
 
 TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {

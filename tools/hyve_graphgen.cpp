@@ -3,19 +3,17 @@
 //   hyve_graphgen rmat 100000 600000 out.txt [seed]
 //   hyve_graphgen er   50000  300000 out.bin [seed]
 //   hyve_graphgen dataset YT out.txt
-//   hyve_graphgen convert in.txt out.hgb
+//   hyve_graphgen convert in.txt out.bin
 //
 // Output format is chosen by extension: .bin = the binary cache format,
-// .hgb = the out-of-core HyVEgrf2 blocked format, anything else =
-// SNAP-style text. An .hgb target in rmat mode streams the generator
-// through chunked spill/merge (generate_rmat_blocked), so the edge set
-// is never resident in memory; inputs to convert are sniffed by magic,
-// so any of the three formats converts to any other.
+// anything else = SNAP-style text. Inputs to convert are told apart by
+// their content (graph/io.hpp load_graph_auto), so either format
+// converts to the other.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
-#include "graph/blocked_format.hpp"
-#include "graph/blocked_reader.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -33,8 +31,6 @@ bool has_ext(const std::string& path, const std::string& ext) {
 void save(const Graph& g, const std::string& path) {
   if (has_ext(path, ".bin"))
     save_graph_binary(g, path);
-  else if (has_ext(path, ".hgb"))
-    blocked::write_blocked(g, path);
   else
     save_edge_list_text(g, path);
   std::cout << "wrote " << path << ": V=" << g.num_vertices()
@@ -50,8 +46,7 @@ int main(int argc, char** argv) {
       "  hyve_graphgen er V E OUT [seed]\n"
       "  hyve_graphgen dataset YT|WK|AS|LJ|TW OUT\n"
       "  hyve_graphgen convert IN OUT\n"
-      "OUT extension picks the format: .bin binary cache, .hgb blocked "
-      "out-of-core, else SNAP text");
+      "OUT extension picks the format: .bin binary cache, else SNAP text");
   parser.allow_positionals(5);
   parser.parse(argc, argv);
 
@@ -61,22 +56,18 @@ int main(int argc, char** argv) {
   try {
     if (mode == "rmat" || mode == "er") {
       if (args.size() < 4) parser.fail(mode + " needs V E OUT");
-      const auto v = static_cast<VertexId>(std::stoull(args[1]));
-      const auto e = std::stoull(args[2]);
-      const std::uint64_t seed = args.size() > 4 ? std::stoull(args[4]) : 1;
-      const std::string& out = args[3];
-      if (mode == "rmat" && has_ext(out, ".hgb")) {
-        // Chunked generation: blocks are written as edges are produced,
-        // bit-identical to generate_rmat + write_blocked of the result.
-        generate_rmat_blocked(out, v, e, {}, seed);
-        const BlockedGraphReader reader(out);
-        std::cout << "wrote " << out << ": V=" << reader.num_vertices()
-                  << " E=" << reader.num_edges() << "\n";
-      } else {
-        const Graph g = mode == "rmat" ? generate_rmat(v, e, {}, seed)
-                                       : generate_erdos_renyi(v, e, seed);
-        save(g, out);
-      }
+      const long long max_v = mode == "rmat"
+                                  ? kMaxRmatVertices
+                                  : std::numeric_limits<VertexId>::max();
+      const auto v =
+          static_cast<VertexId>(cli::parse_int(parser, "V", args[1], 2, max_v));
+      const auto e =
+          static_cast<std::uint64_t>(cli::parse_int(parser, "E", args[2], 0));
+      const auto seed = static_cast<std::uint64_t>(
+          args.size() > 4 ? cli::parse_int(parser, "seed", args[4], 0) : 1);
+      const Graph g = mode == "rmat" ? generate_rmat(v, e, {}, seed)
+                                     : generate_erdos_renyi(v, e, seed);
+      save(g, args[3]);
     } else if (mode == "dataset") {
       if (args.size() < 3) parser.fail("dataset needs NAME OUT");
       const auto id = parse_dataset(args[1]);

@@ -1,17 +1,15 @@
 // hyve_sim — command-line driver for the HyVE simulator.
 //
-// Runs any algorithm on any graph (built-in dataset, SNAP edge-list file,
-// or a fresh R-MAT) under any machine configuration, and prints the full
-// time/energy/area report.
+// Runs any algorithm on any graph (built-in dataset, SNAP edge-list or
+// .bin cache file, or a fresh R-MAT) under any machine configuration, and
+// prints the full time/energy/area report.
 //
 //   hyve_sim --dataset YT --algo pr
 //   hyve_sim --graph web.txt --algo bfs --config sd
-//   hyve_sim --graph big.hgb --graph-format blocked --ooc-window-mb 64
 //   hyve_sim --rmat 100000x600000 --algo cc --sram-mb 4 --pus 16
 //            --cell-bits 2 --no-sharing --no-power-gating --compare
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -29,8 +27,6 @@
 #include "exp/cache.hpp"
 #include "exp/run_session.hpp"
 #include "exp/sweep.hpp"
-#include "graph/blocked_format.hpp"
-#include "graph/blocked_reader.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -48,16 +44,6 @@
 #include "util/units.hpp"
 
 namespace {
-
-// First 8 bytes of the file, for sniffing the HyVEgrf2 magic under
-// --graph-format auto (an unreadable file falls through to the loaders,
-// which produce the proper error).
-std::uint64_t sniff_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  return in.gcount() == sizeof magic ? magic : 0;
-}
 
 // --list-metrics: registers every instrument the simulator, the sweep
 // engine, the caches, the dynamic store, the host profiler and live
@@ -84,20 +70,6 @@ int run_metrics_census() {
   const std::string cached = (dir / "census.bin").string();
   save_graph_binary(tiny, cached);
   tiny = load_graph_binary(cached);
-
-  // Out-of-core streaming load through a deliberately tiny window over
-  // many small blocks so faults AND evictions happen: the sim.ooc.*
-  // family.
-  const std::string blocked = (dir / "census.hgb").string();
-  RmatChunkOptions chunk;
-  chunk.write.block_edges = 256;
-  generate_rmat_blocked(blocked, 512, 2048, {}, 1, chunk);
-  {
-    exp::GraphCache ooc_cache;
-    ooc_cache.set_ooc_window_budget(units::KiB(4));
-    ooc_cache.add_blocked("census-ooc", blocked);
-    ooc_cache.acquire("census-ooc");
-  }
 
   // The full accelerator-config grid × {PR, BFS} × every partitioning
   // strategy on the tiny graph: sim.pipeline/dram/reram/memctl/bpg/
@@ -212,15 +184,13 @@ int main(int argc, char** argv) {
   using namespace hyve;
 
   // Every graph source is built after parsing, once the run session has
-  // started: --graph-format, --ooc-window-mb and --metrics then apply
-  // regardless of flag order, and the host profiler covers the build.
+  // started: --metrics then applies regardless of flag order, and the
+  // host profiler covers the build.
   std::optional<DatasetId> dataset;
   std::string rmat_spec;
   VertexId rmat_vertices = 0;
   std::uint64_t rmat_edges = 0;
   std::string graph_path;
-  std::string graph_format = "auto";
-  std::size_t ooc_window_bytes = 0;
   Algorithm algo = Algorithm::kPageRank;
   HyveConfig config = HyveConfig::hyve_opt();
   // Applied after parsing so it composes with --config in any order.
@@ -239,32 +209,17 @@ int main(int argc, char** argv) {
                   if (!dataset) parser.fail("unknown dataset " + v);
                 });
   parser.option("--graph", "PATH",
-                "graph file (edge-list text, .bin cache, or HyVEgrf2 "
-                "blocked; see --graph-format)",
+                "graph file (SNAP edge-list text or .bin cache, told apart "
+                "by content)",
                 [&](const std::string& path) { graph_path = path; });
-  parser.option("--graph-format", "auto|text|bin|blocked",
-                "how to read --graph (default auto: sniff the magic)",
-                [&](const std::string& v) {
-                  if (v != "auto" && v != "text" && v != "bin" &&
-                      v != "blocked")
-                    parser.fail("unknown graph format " + v);
-                  graph_format = v;
-                });
-  parser.option("--ooc-window-mb", "N",
-                "decoded-block window budget for blocked graphs in MiB "
-                "(0 = unbounded; default 0)",
-                [&](const std::string& v) {
-                  ooc_window_bytes = units::MiB(static_cast<std::uint64_t>(
-                      cli::parse_int(parser, "--ooc-window-mb", v, 0,
-                                     1 << 20)));
-                });
   parser.option("--rmat", "VxE", "fresh R-MAT graph (e.g. 100000x600000)",
                 [&](const std::string& spec) {
                   const auto x = spec.find('x');
                   if (x == std::string::npos)
                     parser.fail("--rmat expects VxE");
-                  rmat_vertices = static_cast<VertexId>(cli::parse_int(
-                      parser, "--rmat vertices", spec.substr(0, x), 1));
+                  rmat_vertices = static_cast<VertexId>(
+                      cli::parse_int(parser, "--rmat vertices",
+                                     spec.substr(0, x), 2, kMaxRmatVertices));
                   rmat_edges = static_cast<std::uint64_t>(cli::parse_int(
                       parser, "--rmat edges", spec.substr(x + 1), 1));
                   rmat_spec = spec;
@@ -334,8 +289,7 @@ int main(int argc, char** argv) {
       parser.fail("no input graph (--dataset/--graph/--rmat)");
 
     // Start before the graph is built so the host profiler covers
-    // generation and loading, and the sim.ooc.* window counters cover a
-    // streaming load.
+    // generation and loading.
     session.start(argc, argv);
     obs::live_telemetry().add_total_cells(1);
 
@@ -348,26 +302,7 @@ int main(int argc, char** argv) {
       graph = generate_rmat(rmat_vertices, rmat_edges, {}, 1);
       graph_label = "rmat:" + rmat_spec;
     } else {
-      const bool is_blocked =
-          graph_format == "blocked" ||
-          (graph_format == "auto" &&
-           sniff_magic(graph_path) == blocked::kMagic);
-      if (is_blocked) {
-        BlockedReaderOptions reader_options;
-        reader_options.window_bytes = ooc_window_bytes;
-        BlockedGraphReader reader(graph_path, reader_options);
-        // Materialise through the bounded window: peak decoded residency
-        // stays within --ooc-window-mb (reported as
-        // sim.ooc.window_peak_bytes) while the simulator gets the same
-        // Graph the in-memory path builds — reports are byte-identical.
-        graph = materialize(reader);
-      } else if (graph_format == "bin") {
-        graph = load_graph_binary(graph_path);
-      } else if (graph_format == "text") {
-        graph = load_edge_list_text(graph_path);
-      } else {
-        graph = load_graph_auto(graph_path);
-      }
+      graph = load_graph_auto(graph_path);
       graph_label = graph_path;
     }
 
