@@ -140,7 +140,7 @@ RunOutcome run_layout(const Graph& g, const Partitioning& part,
     out.edges_streamed = trace.result.edges_traversed - trace.edges_skipped;
     return out;
   }
-  program.init(g);
+  program.init(part);
   bool more = true;
   while (more && out.iterations < program.max_iterations()) {
     for (std::uint32_t y = 0; y < kNumIntervals; ++y) {
@@ -197,7 +197,6 @@ int main(int argc, char** argv) {
     Partitioning part(g, kNumIntervals);
     part.edge_columns().weights(64);
     part.edge_columns().weights(1024);
-    g.out_degrees();
     part.source_block_index();
     return GraphCase{label, std::move(key), std::move(g), std::move(part)};
   };

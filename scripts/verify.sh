@@ -4,7 +4,8 @@
 # instructions), an observability smoke run (--metrics/--trace on a tiny
 # graph), a bench-json smoke run (--json + hyve_report --check/--compare,
 # byte-diffed across --jobs), a functional-cache smoke run (the always-on
-# memo must hit and stay byte-identical across --jobs), a graph-file
+# memo must hit and stay byte-identical across --jobs, and the
+# hash-balanced sweep must build no second graph image), a graph-file
 # smoke run (a .bin graph and its text conversion simulate identically;
 # out-of-range R-MAT vertex counts exit 2), a live-telemetry smoke run
 # (--live-status snapshots, hyve_top, and the SIGTERM flight-record
@@ -58,7 +59,8 @@ grep -q '"traceEvents"' "$obs_dir/trace.json" ||
   { echo "obs-smoke: not a trace-event document" >&2; exit 1; }
 # The graph is generated after the host profiler starts, so its span
 # lands in the profile, and so does the run's one §4.3 hash-balance
-# remap (on by default).
+# permutation (on by default; graph.remap times only the permutation,
+# which the partition build then applies as it reads the edges).
 ./build/tools/hyve_sim --rmat 5000x30000 --host-profile --metrics \
   >/dev/null 2>"$obs_dir/host_metrics.txt"
 grep -q '^host\.span\.rmat\.generate\.count=1$' "$obs_dir/host_metrics.txt" ||
@@ -104,7 +106,10 @@ echo "bench-json: OK"
 # functional-cache: the sweep engine always memoises functional phases.
 # The memo must actually hit on a memory-config sweep, and its output
 # must stay byte-identical across --jobs (exp_test diffs it against
-# uncached HyveMachine::run records).
+# uncached HyveMachine::run records). The sweep hash-balances every
+# cell, yet its graph cache must hold no bytes: the dataset is pinned
+# outside the budget and the schedule builds apply the permutation
+# themselves, so no second (remapped) edge image may appear.
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 1 \
   --cache-stats > "$obs_dir/exp_j1.jsonl" 2>"$obs_dir/exp_stats.txt"
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 8 \
@@ -113,6 +118,9 @@ cmp "$obs_dir/exp_j1.jsonl" "$obs_dir/exp_j8.jsonl" ||
   { echo "functional-cache: --jobs 1 and --jobs 8 outputs differ" >&2; exit 1; }
 grep -q 'functional cache: hits=[1-9]' "$obs_dir/exp_stats.txt" ||
   { echo "functional-cache: --cache-stats reported no memo hits" >&2; exit 1; }
+grep -q '^graph cache: .* resident_bytes=0$' "$obs_dir/exp_stats.txt" ||
+  { echo "functional-cache: a hash-balanced sweep built a second graph image" >&2
+    exit 1; }
 # The plain bench stdout the live-smoke step diffs against.
 ./build/bench/bench_fig13 --smoke --jobs 2 > "$obs_dir/bench_plain.out" \
   2>/dev/null

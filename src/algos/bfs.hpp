@@ -28,7 +28,7 @@ class BfsProgram final : public VertexProgram {
   std::string name() const override { return "BFS"; }
   std::uint32_t vertex_value_bytes() const override { return 4; }
 
-  void init(const Graph& graph) override;
+  void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
   std::uint64_t process_block(const EdgeBlockSoA& block,
                               std::vector<char>* changed) override;

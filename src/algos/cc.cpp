@@ -5,8 +5,8 @@
 
 namespace hyve {
 
-void CcProgram::init(const Graph& graph) {
-  label_.assign(graph.num_vertices(), 0);
+void CcProgram::init(const Partitioning& schedule) {
+  label_.assign(schedule.num_vertices(), 0);
   std::iota(label_.begin(), label_.end(), VertexId{0});
   changed_ = false;
 }

@@ -20,7 +20,7 @@ class CcProgram final : public VertexProgram {
   std::string name() const override { return "CC"; }
   std::uint32_t vertex_value_bytes() const override { return 4; }
 
-  void init(const Graph& graph) override;
+  void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
   std::uint64_t process_block(const EdgeBlockSoA& block,
                               std::vector<char>* changed) override;

@@ -100,7 +100,9 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
 FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
                            const Partitioning& schedule,
                            const FrontierOptions& options) {
-  program.init(graph);
+  HYVE_CHECK_MSG(schedule.num_edges() == graph.num_edges(),
+                 "schedule built for a different graph");
+  program.init(schedule);
   const std::uint32_t p = schedule.num_intervals();
 
   FrontierTrace trace;
@@ -138,7 +140,7 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
   const bool reuse = options.pattern_reuse && tracks_activity;
   const SourceBlockIndex* index =
       reuse ? &schedule.source_block_index() : nullptr;
-  std::vector<char> vertex_changed(reuse ? graph.num_vertices() : 0, 0);
+  std::vector<char> vertex_changed(reuse ? schedule.num_vertices() : 0, 0);
   std::vector<char>* const changed_sink = reuse ? &vertex_changed : nullptr;
   std::vector<char> block_dirty;
   if (reuse) block_dirty.assign(static_cast<std::size_t>(p) * p, 1);
@@ -264,7 +266,7 @@ FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
       if (reuse && !contiguous) {
         // Intervals whose vertices are scattered can only be walked as
         // one full sweep, so their dirt propagation lands here.
-        walk(0, graph.num_vertices(), [&](VertexId v) {
+        walk(0, schedule.num_vertices(), [&](VertexId v) {
           return static_cast<std::size_t>(schedule.interval_of(v)) * p;
         });
       }

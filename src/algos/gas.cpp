@@ -7,7 +7,7 @@ namespace hyve {
 GasProgram<std::uint32_t> make_reachability_program(VertexId root) {
   GasProgram<std::uint32_t>::Spec spec;
   spec.name = "REACH";
-  spec.init = [root](VertexId v, const Graph&) -> std::uint32_t {
+  spec.init = [root](VertexId v, const Partitioning&) -> std::uint32_t {
     return v == root ? 1u : 0u;
   };
   spec.scatter = [](const Edge&, const std::uint32_t& src,
@@ -37,7 +37,7 @@ GasProgram<std::uint32_t> make_widest_path_program(
     VertexId root, std::uint32_t max_capacity) {
   GasProgram<std::uint32_t>::Spec spec;
   spec.name = "WIDEST";
-  spec.init = [root, max_capacity](VertexId v, const Graph&) {
+  spec.init = [root, max_capacity](VertexId v, const Partitioning&) {
     // The root has unbounded inflow; everything else starts unreachable.
     return v == root ? max_capacity + 1 : 0u;
   };

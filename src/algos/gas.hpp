@@ -7,7 +7,9 @@
 //
 //   auto program = GasProgram<std::uint32_t>({
 //       .name = "reach",
-//       .init = [](VertexId v, const Graph&) { return v == root ? 1u : 0u; },
+//       .init = [](VertexId v, const Partitioning&) {
+//         return v == root ? 1u : 0u;
+//       },
 //       .scatter = [](const Edge&, const std::uint32_t& src,
 //                     const std::uint32_t& dst)
 //           -> std::optional<std::uint32_t> {
@@ -36,8 +38,9 @@ class GasProgram final : public VertexProgram {
  public:
   struct Spec {
     std::string name = "gas";
-    // Initial vertex value.
-    std::function<Value(VertexId, const Graph&)> init;
+    // Initial vertex value, given the schedule the run streams (its
+    // vertex count and out-degrees, in the schedule's ids).
+    std::function<Value(VertexId, const Partitioning&)> init;
     // Edge update: new destination value, or nullopt for no change.
     std::function<std::optional<Value>(const Edge&, const Value& src,
                                        const Value& dst)>
@@ -70,11 +73,11 @@ class GasProgram final : public VertexProgram {
     return spec_.max_iterations;
   }
 
-  void init(const Graph& graph) override {
+  void init(const Partitioning& schedule) override {
     values_.clear();
-    values_.reserve(graph.num_vertices());
-    for (VertexId v = 0; v < graph.num_vertices(); ++v)
-      values_.push_back(spec_.init(v, graph));
+    values_.reserve(schedule.num_vertices());
+    for (VertexId v = 0; v < schedule.num_vertices(); ++v)
+      values_.push_back(spec_.init(v, schedule));
     changed_ = false;
   }
 

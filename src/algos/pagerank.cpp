@@ -4,10 +4,10 @@
 
 namespace hyve {
 
-void PageRankProgram::init(const Graph& graph) {
-  num_vertices_ = graph.num_vertices();
+void PageRankProgram::init(const Partitioning& schedule) {
+  num_vertices_ = schedule.num_vertices();
   HYVE_CHECK(num_vertices_ > 0);
-  out_degree_ = &graph.out_degrees();
+  out_degree_ = &schedule.out_degrees();
   const std::vector<std::uint32_t>& out_degree = *out_degree_;
   const double initial = 1.0 / num_vertices_;
   rank_.assign(num_vertices_, initial);

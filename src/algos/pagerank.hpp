@@ -24,7 +24,7 @@ class PageRankProgram final : public VertexProgram {
   bool has_apply_phase() const override { return true; }
   std::uint32_t max_iterations() const override { return num_iterations_; }
 
-  void init(const Graph& graph) override;
+  void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
   std::uint64_t process_block(const EdgeBlockSoA& block,
                               std::vector<char>* changed) override;
@@ -39,8 +39,8 @@ class PageRankProgram final : public VertexProgram {
   std::vector<double> rank_;
   std::vector<double> accum_;
   std::vector<float> contribution_;  // rank[src]/outdeg[src], frozen per pass
-  // The graph's table (Graph::out_degrees), valid while the graph
-  // passed to init() lives.
+  // The schedule's table (Partitioning::out_degrees), valid while the
+  // schedule passed to init() lives.
   const std::vector<std::uint32_t>* out_degree_ = nullptr;
 };
 

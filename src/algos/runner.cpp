@@ -50,7 +50,9 @@ std::optional<Algorithm> parse_algorithm(const std::string& name) {
 
 FunctionalResult run_functional(const Graph& graph, VertexProgram& program,
                                 const Partitioning& schedule) {
-  program.init(graph);
+  HYVE_CHECK_MSG(schedule.num_edges() == graph.num_edges(),
+                 "schedule built for a different graph");
+  program.init(schedule);
   FunctionalResult result;
 
   auto run_pass = [&] {

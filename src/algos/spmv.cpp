@@ -2,14 +2,14 @@
 
 namespace hyve {
 
-void SpmvProgram::init(const Graph& graph) {
-  y_.assign(graph.num_vertices(), 0.0);
+void SpmvProgram::init(const Partitioning& schedule) {
+  y_.assign(schedule.num_vertices(), 0.0);
   // Precompute x so the SoA kernel replaces a per-edge hash of the
   // source id with one gather (same bits: input_value is a pure
   // function of v). Elementwise — vectorizes cleanly.
-  x_.resize(graph.num_vertices());
+  x_.resize(schedule.num_vertices());
   double* const x = x_.data();
-  const VertexId n = graph.num_vertices();
+  const VertexId n = schedule.num_vertices();
 #pragma omp simd
   for (VertexId v = 0; v < n; ++v) x[v] = input_value(v);
 }

@@ -17,7 +17,7 @@ class SpmvProgram final : public VertexProgram {
   std::uint32_t vertex_value_bytes() const override { return 8; }  // x and y
   std::uint32_t max_iterations() const override { return 1; }
 
-  void init(const Graph& graph) override;
+  void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
   std::uint64_t process_block(const EdgeBlockSoA& block,
                               std::vector<char>* changed) override;

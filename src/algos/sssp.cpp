@@ -6,15 +6,15 @@
 
 namespace hyve {
 
-void SsspProgram::init(const Graph& graph) {
-  HYVE_CHECK(graph.num_vertices() > 0);
+void SsspProgram::init(const Partitioning& schedule) {
+  HYVE_CHECK(schedule.num_vertices() > 0);
   if (root_ == kAutoRoot) {
-    const std::vector<std::uint32_t>& deg = graph.out_degrees();
+    const std::vector<std::uint32_t>& deg = schedule.out_degrees();
     root_ = static_cast<VertexId>(
         std::max_element(deg.begin(), deg.end()) - deg.begin());
   }
-  HYVE_CHECK(root_ < graph.num_vertices());
-  dist_.assign(graph.num_vertices(), kUnreached);
+  HYVE_CHECK(root_ < schedule.num_vertices());
+  dist_.assign(schedule.num_vertices(), kUnreached);
   dist_[root_] = 0;
   changed_ = false;
 }

@@ -10,6 +10,11 @@
 // Programs also describe their vertex-record width: the PR record is
 // wider than the BFS/CC one (rank + accumulator), which is why data
 // sharing helps PR the most (Fig. 14).
+//
+// A program starts from the schedule it will stream, never from a
+// Graph: everything it reads before the first pass (the vertex count,
+// the out-degrees) is in the schedule's ids, which are the hash-balanced
+// ones when the §4.3 remap is on.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,7 @@
 
 #include "graph/edge_columns.hpp"
 #include "graph/graph.hpp"
+#include "graph/partition.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -57,8 +63,9 @@ class VertexProgram {
   // vertices (PageRank's rank <- (1-d)/V + d*accum).
   virtual bool has_apply_phase() const { return false; }
 
-  // Resets state for `graph` and prepares iteration 1.
-  virtual void init(const Graph& graph) = 0;
+  // Resets state for the vertices of `schedule` and prepares iteration
+  // 1. Reads only its vertex count and out_degrees().
+  virtual void init(const Partitioning& schedule) = 0;
 
   // Processes one edge; returns true iff the destination value changed.
   virtual bool process_edge(const Edge& e) = 0;

@@ -108,19 +108,19 @@ RunReport HyveMachine::run(const Graph& graph, VertexProgram& program,
                            obs::Trace* trace,
                            std::uint32_t trace_pid) const {
   // Simulate the hash-balanced layout (§4.3): block populations even out
-  // across PUs, which the per-step synchronisation rewards. Sweeps
-  // memoise the remap through exp::GraphCache::acquire_balanced.
-  std::optional<Graph> balanced;
+  // across PUs, which the per-step synchronisation rewards. The build
+  // renumbers the vertices as it reads the edges, so the schedule is
+  // that of graph.hashed_remap(seed) without the remapped graph.
+  std::vector<VertexId> perm;
   if (config_.hash_balance)
-    balanced = graph.hashed_remap(config_.hash_balance_seed);
-  const Graph& image = balanced.has_value() ? *balanced : graph;
+    perm = hash_permutation(graph.num_vertices(), config_.hash_balance_seed);
   const std::uint32_t p =
-      choose_num_intervals(image, program.vertex_value_bytes());
+      choose_num_intervals(graph, program.vertex_value_bytes());
   const Partitioning schedule =
-      make_partitioner(config_.partitioner)->partition(image, p);
+      make_partitioner(config_.partitioner)->partition(graph, p, perm);
   const FunctionalOutcome functional =
-      run_functional_phase(image, schedule, program);
-  return run_with_functional(image, schedule, program, functional, trace,
+      run_functional_phase(graph, schedule, program);
+  return run_with_functional(graph, schedule, program, functional, trace,
                              trace_pid);
 }
 

@@ -106,11 +106,13 @@ class HyveMachine {
   std::uint32_t choose_num_intervals(const Graph& graph,
                                      std::uint32_t vertex_value_bytes) const;
 
-  // Simulates the full run of `algorithm` on `graph`. When `trace` is
-  // non-null the architectural walk additionally emits Chrome trace
-  // events (per-PU block spans, interval transfers, router sharing,
-  // power-gating windows) on tracks of process `trace_pid`, with
-  // timestamps in simulated nanoseconds.
+  // Simulates the full run of `algorithm` on `graph`, over a schedule
+  // built from `graph` itself (its vertices renumbered by
+  // hash_permutation as the build reads them when config().hash_balance
+  // is on). When `trace` is non-null the architectural walk additionally
+  // emits Chrome trace events (per-PU block spans, interval transfers,
+  // router sharing, power-gating windows) on tracks of process
+  // `trace_pid`, with timestamps in simulated nanoseconds.
   RunReport run(const Graph& graph, Algorithm algorithm,
                 obs::Trace* trace = nullptr,
                 std::uint32_t trace_pid = 1) const;
@@ -122,11 +124,12 @@ class HyveMachine {
 
   // The two halves of run(), split so callers can memoise the functional
   // phase across runs whose memory configuration differs but whose
-  // functional inputs agree (exp::run_cached does). Both take a graph
-  // whose layout preparation was done by the caller: `graph` must already
-  // reflect config().hash_balance (i.e. be the hashed_remap image when
-  // that option is on) and `schedule` must partition `graph` into
-  // choose_num_intervals() intervals; both are checked.
+  // functional inputs agree (exp::run_cached does). The caller prepares
+  // the layout: `schedule` must reflect config().hash_balance (built
+  // through hash_permutation when that option is on, as run() builds
+  // it) and have choose_num_intervals() intervals (checked). Of `graph`
+  // they read only the vertex and edge counts, so it may be the base
+  // graph or its hashed_remap image.
   //
   // run_functional_phase executes the vertex program for real (dense or
   // frontier-skipping per config().frontier_block_skipping; a program

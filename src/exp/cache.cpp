@@ -90,10 +90,15 @@ PartitionCache::PartitionCache()
 
 std::shared_ptr<const Partitioning> PartitionCache::acquire(
     const std::string& key, const Graph& graph, std::uint32_t num_intervals,
-    const PartitionerSpec& spec) {
+    const PartitionerSpec& spec, std::optional<std::uint64_t> balance_seed) {
+  const std::string image_key =
+      balance_seed ? GraphCache::balanced_key(key, *balance_seed) : key;
   const std::shared_ptr<const Partitioning> p =
-      memo_.acquire({key, spec.to_string(), num_intervals}, [&] {
-        return make_partitioner(spec)->partition(graph, num_intervals);
+      memo_.acquire({image_key, spec.to_string(), num_intervals}, [&] {
+        std::vector<VertexId> perm;
+        if (balance_seed)
+          perm = hash_permutation(graph.num_vertices(), *balance_seed);
+        return make_partitioner(spec)->partition(graph, num_intervals, perm);
       });
   HYVE_CHECK_MSG(p->num_vertices() == graph.num_vertices() &&
                      p->num_edges() == graph.num_edges(),

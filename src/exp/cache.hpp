@@ -3,13 +3,14 @@
 //
 // A (config × algorithm × dataset) sweep re-uses the same few graphs in
 // every cell; without these caches each cell would re-load the graph,
-// re-apply the §4.3 hash-balancing remap, re-run the counting-sort
-// partitioner and re-run the vertex program. Each cache is a thin layer
-// over one exp::Memo (memo.hpp), which owns the build-once, per-entry
-// locking, LRU eviction and counters: two workers needing the same
-// artifact share one build while workers needing different ones proceed
-// in parallel, and evicting an entry another worker still uses only
-// drops the cache's reference.
+// re-run the counting-sort partitioner (which applies the §4.3
+// hash-balancing permutation as it reads the edges, so a sweep holds one
+// edge image per graph: the base graph) and re-run the vertex program.
+// Each cache is a thin layer over one exp::Memo (memo.hpp), which owns
+// the build-once, per-entry locking, LRU eviction and counters: two
+// workers needing the same artifact share one build while workers
+// needing different ones proceed in parallel, and evicting an entry
+// another worker still uses only drops the cache's reference.
 //
 // All three count hits, builds and evictions (exp.<cache>.* in the
 // registry) plus one resident gauge each. GraphCache takes an optional
@@ -23,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -59,8 +61,9 @@ class GraphCache {
   std::shared_ptr<const Graph> acquire(const std::string& key);
 
   // The hashed_remap(seed) image of `key` (§4.3 balancing), memoised
-  // under balanced_key(key, seed) — one remap per sweep instead of one
-  // per cell.
+  // under balanced_key(key, seed). Sweeps never build it (PartitionCache
+  // applies the permutation inside the schedule build); it stays as the
+  // reference path of perfbench's traced reps and the equivalence tests.
   std::shared_ptr<const Graph> acquire_balanced(const std::string& key,
                                                 std::uint64_t seed);
 
@@ -68,7 +71,8 @@ class GraphCache {
   // (the reference is valid only while the entry stays resident).
   const Graph& base(const std::string& key) { return *acquire(key); }
 
-  // Cache key of the balanced image, also used by PartitionCache.
+  // Key of the hash-balanced image of `key`: what PartitionCache and
+  // FunctionalKey file balanced schedules and outcomes under.
   static std::string balanced_key(const std::string& key,
                                   std::uint64_t seed) {
     return key + "#balanced:" + std::to_string(seed);
@@ -108,22 +112,26 @@ class GraphCache {
 // CI output never depends on the host's memory pressure.
 std::size_t default_graph_cache_budget(bool smoke);
 
-// Partitionings keyed by (graph key, partitioner strategy, P), so two
-// strategies over the same graph can never collide. The caller
+// Partitionings keyed by (graph image key, partitioner strategy, P), so
+// two strategies over the same graph can never collide. The caller
 // guarantees `key` uniquely identifies the graph's edge layout — use
-// GraphCache keys (and GraphCache::balanced_key for remapped images).
-// Every acquire checks that the cached partitioning has the graph's
-// vertex and edge counts.
+// GraphCache keys. Every acquire checks that the cached partitioning has
+// the graph's vertex and edge counts.
 class PartitionCache {
  public:
   PartitionCache();
 
   // The memoised partitioning of `graph` under `spec` (default: the
   // interval-block strategy), built on first use. The shared_ptr stays
-  // valid across a concurrent eviction.
+  // valid across a concurrent eviction. With a `balance_seed` the build
+  // renumbers the vertices through hash_permutation(V, seed) as it reads
+  // `graph` (§4.3), and the entry is filed under
+  // GraphCache::balanced_key(key, seed): it equals the schedule of
+  // graph.hashed_remap(seed), which is never built.
   std::shared_ptr<const Partitioning> acquire(
       const std::string& key, const Graph& graph, std::uint32_t num_intervals,
-      const PartitionerSpec& spec = {});
+      const PartitionerSpec& spec = {},
+      std::optional<std::uint64_t> balance_seed = std::nullopt);
 
   // LRU cap on resident partitionings (0 = unbounded, the default).
   // Enforced after each build; in-flight builds may overshoot briefly.
@@ -149,7 +157,7 @@ class PartitionCache {
 
 // Key of a memoised functional outcome. Two sweep cells share an
 // outcome exactly when their functional inputs agree: the graph image
-// (a GraphCache key; hash-balanced images fold the seed in via
+// (a GraphCache key; hash-balanced schedules fold the seed in via
 // GraphCache::balanced_key), the algorithm, the partitioner strategy
 // (block iteration order steers in-pass propagation, so iteration
 // counts differ across strategies), the interval count P, and whether

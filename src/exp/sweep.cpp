@@ -59,18 +59,22 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
   const HyveMachine machine(config);
   const auto program = make_program(algorithm);
   // Hold shared ownership for the whole run: under a cache size cap a
-  // concurrent worker may evict these entries while we simulate.
-  std::shared_ptr<const Graph> graph = graphs.acquire(graph_key);
+  // concurrent worker may evict these entries while we simulate. The
+  // hash-balanced schedule is built from the base graph (PartitionCache
+  // applies the permutation as it reads the edges) and filed under the
+  // balanced image's key, which also keys the functional memo.
+  const std::shared_ptr<const Graph> graph = graphs.acquire(graph_key);
+  std::optional<std::uint64_t> balance_seed;
   std::string schedule_key = graph_key;
   if (config.hash_balance) {
-    graph = graphs.acquire_balanced(graph_key, config.hash_balance_seed);
+    balance_seed = config.hash_balance_seed;
     schedule_key =
         GraphCache::balanced_key(graph_key, config.hash_balance_seed);
   }
   const std::uint32_t p =
       machine.choose_num_intervals(*graph, program->vertex_value_bytes());
-  const std::shared_ptr<const Partitioning> schedule =
-      partitions.acquire(schedule_key, *graph, p, config.partitioner);
+  const std::shared_ptr<const Partitioning> schedule = partitions.acquire(
+      graph_key, *graph, p, config.partitioner, balance_seed);
   // schedule_key already identifies the graph image (balance seed
   // included); the partitioner, P and whether the frontier walk runs pin
   // the rest of the functional inputs, so memory-tech-only config changes
@@ -219,26 +223,20 @@ std::vector<SweepResult> SweepEngine::run(const SweepSpec& spec,
     // each graph key is its compulsory miss, every later touch a hit
     // (the unbounded-budget behaviour) — so the trace stays
     // byte-identical for any --jobs value even though the real
-    // execution order races and a byte-capped cache may evict.
+    // execution order races and a byte-capped cache may evict. Each
+    // cell touches its base graph only: hash balancing happens inside
+    // the schedule build and puts no image in the graph cache.
     options.trace->process_name(0, "sweep");
     options.trace->thread_name(0, 0, "graph cache");
     std::set<std::string> seen;
-    std::uint64_t touches = 0;
     std::uint64_t hits = 0;
-    const auto touch = [&](const std::string& key) {
-      ++touches;
-      if (!seen.insert(key).second) ++hits;
-    };
     for (std::size_t i = 0; i < n; ++i) {
-      touch(cells[i].graph_key);
-      if (cells[i].config.hash_balance)
-        touch(GraphCache::balanced_key(cells[i].graph_key,
-                                       cells[i].config.hash_balance_seed));
+      if (!seen.insert(cells[i].graph_key).second) ++hits;
       // ts is the cell index: the track reads as "hit rate after cell i".
       options.trace->counter(
           0, 0, "graph-cache hit rate", static_cast<double>(i),
-          {{"hit_rate", static_cast<double>(hits) /
-                            static_cast<double>(touches)}});
+          {{"hit_rate",
+            static_cast<double>(hits) / static_cast<double>(i + 1)}});
     }
   }
 

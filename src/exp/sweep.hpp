@@ -4,12 +4,12 @@
 // A SweepSpec declares a (configs × algorithms × graphs) grid; the
 // SweepEngine runs its cells on a pool of worker threads pulling from an
 // atomic work queue, sharing one GraphCache/PartitionCache so each graph
-// is loaded, hash-balanced and partitioned once per sweep instead of
-// once per cell, and its own FunctionalCache so each functional input
-// runs its vertex program once per engine. Cell execution is
-// deterministic and results are handed to the ResultSink in cell order
-// regardless of thread count, so `--jobs 8` output is byte-identical to
-// `--jobs 1`.
+// is loaded once and each of its schedules (hash-balanced inside the
+// build) built once per sweep instead of once per cell, and its own
+// FunctionalCache so each functional input runs its vertex program once
+// per engine. Cell execution is deterministic and results are handed to
+// the ResultSink in cell order regardless of thread count, so `--jobs 8`
+// output is byte-identical to `--jobs 1`.
 #pragma once
 
 #include <cstdint>

@@ -40,20 +40,26 @@ std::uint32_t Graph::edge_weight(const Edge& e, std::uint32_t max_weight) {
   return static_cast<std::uint32_t>(edge_weight_hash(e) % max_weight) + 1;
 }
 
-Graph Graph::hashed_remap(std::uint64_t seed) const {
+std::vector<VertexId> hash_permutation(VertexId num_vertices,
+                                       std::uint64_t seed) {
   const obs::HostSpan host_span("graph.remap");
-  std::vector<VertexId> perm(num_vertices_);
+  std::vector<VertexId> perm(num_vertices);
   std::iota(perm.begin(), perm.end(), VertexId{0});
   Rng rng(seed);
   // Fisher–Yates with the deterministic session RNG.
-  for (VertexId i = num_vertices_; i > 1; --i) {
+  for (VertexId i = num_vertices; i > 1; --i) {
     const auto j = static_cast<VertexId>(rng.next_below(i));
     std::swap(perm[i - 1], perm[j]);
   }
+  return perm;
+}
+
+Graph Graph::hashed_remap(std::uint64_t seed) const {
+  const std::vector<VertexId> perm = hash_permutation(num_vertices_, seed);
   std::vector<Edge> remapped;
   remapped.reserve(edges_.size());
-  for (const Edge& e : edges_) remapped.push_back({perm[e.src], perm[e.dst]});
-  return Graph(num_vertices_, std::move(remapped));
+  for_each_edge(*this, perm, [&](const Edge& e) { remapped.push_back(e); });
+  return Graph(num_vertices_, std::move(remapped), Prechecked{});
 }
 
 Csr Csr::from_graph(const Graph& g) {

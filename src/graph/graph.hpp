@@ -2,14 +2,19 @@
 //
 // HyVE is an edge-centric architecture (X-Stream model), so the edge list —
 // not an adjacency structure — is the primary representation; CSR views and
-// degree arrays are derived on demand where algorithms need them (the
-// out-degree table once per graph). Runs stream a Partitioning's columns;
-// a whole-graph run uses P = 1.
+// degree arrays are derived on demand (runs read the out-degrees their
+// schedule's build counted). Runs stream a Partitioning's columns;
+// a whole-graph run uses P = 1. The §4.3 hash balancing renumbers the
+// vertices through hash_permutation(), which the partition build applies
+// as it reads the edges (for_each_edge), so no renumbered copy of the
+// edge list is ever held.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace hyve {
@@ -27,17 +32,24 @@ struct Edge {
 class Graph {
  public:
   Graph() = default;
+  // Checks that every endpoint is below num_vertices.
   Graph(VertexId num_vertices, std::vector<Edge> edges);
+  // For a loader that has already range-checked every endpoint (the
+  // binary loader checks each chunk as it reads it): no second pass.
+  struct Prechecked {};
+  Graph(VertexId num_vertices, std::vector<Edge> edges, Prechecked)
+      : num_vertices_(num_vertices), edges_(std::move(edges)) {}
 
   VertexId num_vertices() const { return num_vertices_; }
   std::uint64_t num_edges() const { return edges_.size(); }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  // Per-vertex out-degree (PageRank's rank scaling, the BFS and SSSP
-  // root choice). Counted on the first call, not at construction (a
-  // load that never asks pays nothing), and kept: copies of this graph
-  // share the one table and concurrent first calls share one count.
-  // Valid while this graph or a copy of it lives. Thread-safe.
+  // Per-vertex out-degree (graph statistics, the crossbar PageRank).
+  // Vertex programs read their schedule's table instead
+  // (Partitioning::out_degrees). Counted on the first call, not at
+  // construction (a load that never asks pays nothing), and kept: copies
+  // of this graph share the one table and concurrent first calls share
+  // one count. Valid while this graph or a copy of it lives. Thread-safe.
   const std::vector<std::uint32_t>& out_degrees() const;
   std::vector<std::uint32_t> in_degrees() const;
 
@@ -58,9 +70,11 @@ class Graph {
     return z;
   }
 
-  // Remaps vertex ids through a deterministic pseudo-random permutation —
-  // the hash-based partitioning of ForeGraph/GraphH (§4.3) that balances
-  // interval populations before interval-block partitioning.
+  // This graph with every vertex id v renumbered to
+  // hash_permutation(V, seed)[v], edges in the same order. Runs never
+  // build it: the partition build reads the edges through the
+  // permutation instead. perfbench's traced reps and the equivalence
+  // tests keep it as the reference the fused build must match.
   Graph hashed_remap(std::uint64_t seed) const;
 
  private:
@@ -74,6 +88,29 @@ class Graph {
   std::vector<Edge> edges_;
   std::shared_ptr<Degrees> degrees_ = std::make_shared<Degrees>();
 };
+
+// The deterministic pseudo-random vertex permutation of the hash-based
+// partitioning of ForeGraph/GraphH (§4.3) that balances interval
+// populations before interval-block partitioning: a Fisher–Yates shuffle
+// of [0, num_vertices) driven by Rng(seed). Vertex v becomes perm[v].
+// Timed under the graph.remap host span.
+std::vector<VertexId> hash_permutation(VertexId num_vertices,
+                                       std::uint64_t seed);
+
+// Calls f(edge) for every edge of g in g's order, each endpoint read
+// through `perm` when it is non-empty (the edge list of
+// g.hashed_remap(seed) for perm = hash_permutation(V, seed), never
+// materialised). With an empty `perm` the loop is a plain walk over
+// g.edges().
+template <typename F>
+void for_each_edge(const Graph& g, std::span<const VertexId> perm, F&& f) {
+  if (perm.empty()) {
+    for (const Edge& e : g.edges()) f(e);
+    return;
+  }
+  const VertexId* const to = perm.data();
+  for (const Edge& e : g.edges()) f(Edge{to[e.src], to[e.dst]});
+}
 
 // Compressed sparse row view (by source vertex), built on demand.
 struct Csr {

@@ -81,36 +81,47 @@ std::size_t VertexMap::resident_bytes() const {
          (populations_.capacity() + begins_.capacity()) * sizeof(VertexId);
 }
 
-Partitioning::Partitioning(const Graph& g, VertexMap map)
+Partitioning::Partitioning(const Graph& g, VertexMap map,
+                           std::span<const VertexId> perm)
     : map_(std::move(map)) {
   const obs::HostSpan host_span("partition.build");
-  build(g);
+  build(g, perm);
 }
 
-void Partitioning::build(const Graph& g) {
+void Partitioning::build(const Graph& g, std::span<const VertexId> perm) {
   HYVE_CHECK_MSG(map_.num_vertices() == g.num_vertices(),
                  "vertex map covers " << map_.num_vertices()
                                       << " vertices but the graph has "
                                       << g.num_vertices());
+  HYVE_CHECK_MSG(perm.empty() || perm.size() == g.num_vertices(),
+                 "permutation of " << perm.size() << " ids for "
+                                   << g.num_vertices() << " vertices");
 
-  // Counting sort of edges by block index: one pass to count, one to
-  // place straight into the src/dst columns, which are all that is ever
-  // resident.
+  // Counting sort of edges by block index: one pass to count (and to
+  // count out-degrees), one to place straight into the src/dst columns,
+  // which are all that is ever resident. Both read the edges through
+  // `perm`; the scatter recomputes each edge's block rather than keeping
+  // one per edge from the count.
   const std::uint64_t blocks = num_blocks();
   offsets_.assign(blocks + 1, 0);
-  for (const Edge& e : g.edges())
+  std::vector<std::uint32_t> out_degrees(g.num_vertices(), 0);
+  for_each_edge(g, perm, [&](const Edge& e) {
     ++offsets_[block_index(interval_of(e.src), interval_of(e.dst)) + 1];
+    ++out_degrees[e.src];
+  });
   for (std::uint64_t b = 0; b < blocks; ++b) offsets_[b + 1] += offsets_[b];
+  out_degrees_ = std::make_shared<const std::vector<std::uint32_t>>(
+      std::move(out_degrees));
 
   std::vector<VertexId> src(g.num_edges());
   std::vector<VertexId> dst(g.num_edges());
   std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : g.edges()) {
+  for_each_edge(g, perm, [&](const Edge& e) {
     const std::uint64_t at =
         cursor[block_index(interval_of(e.src), interval_of(e.dst))]++;
     src[at] = e.src;
     dst[at] = e.dst;
-  }
+  });
 
   // Replication: one pass over the grouped (block-major) edges with a
   // per-vertex last-block stamp, done here once per schedule so that
@@ -149,8 +160,9 @@ VertexMap checked_uniform_map(const Graph& g, std::uint32_t num_intervals) {
 
 }  // namespace
 
-Partitioning::Partitioning(const Graph& g, std::uint32_t num_intervals)
-    : Partitioning(g, checked_uniform_map(g, num_intervals)) {}
+Partitioning::Partitioning(const Graph& g, std::uint32_t num_intervals,
+                           std::span<const VertexId> perm)
+    : Partitioning(g, checked_uniform_map(g, num_intervals), perm) {}
 
 std::uint64_t Partitioning::block_edge_count(std::uint32_t x,
                                              std::uint32_t y) const {
@@ -233,7 +245,7 @@ std::size_t Partitioning::lazy_bytes() const {
 
 std::size_t Partitioning::resident_bytes() const {
   return offsets_.capacity() * sizeof(std::uint64_t) + map_.resident_bytes() +
-         lazy_bytes();
+         out_degrees_->capacity() * sizeof(std::uint32_t) + lazy_bytes();
 }
 
 }  // namespace hyve

@@ -8,6 +8,13 @@
 // into src/dst columns (graph/edge_columns.hpp), and kernels receive
 // each block as an EdgeBlockSoA view over them.
 //
+// The §4.3 hash balancing is fused into the build: given a vertex
+// permutation (hash_permutation), the count and scatter passes read each
+// edge through it, so the schedule of a balanced graph is built from the
+// base graph and the renumbered edge list never exists. Everything a
+// schedule exposes (columns, vertex map, out-degrees) is in the permuted
+// ids, exactly as if the build had been given g.hashed_remap(seed).
+//
 // The vertex→interval assignment is an explicit VertexMap, not the
 // historical implicit `v / interval_width` contract: the interval-block
 // strategy still produces equal-width index ranges, but degree-aware and
@@ -110,12 +117,16 @@ class Partitioning {
  public:
   // Groups g's edges into P*P blocks with a counting sort over `map`
   // (which must cover exactly g's vertices). The sort is stable: each
-  // block keeps its edges in g's order.
-  Partitioning(const Graph& g, VertexMap map);
+  // block keeps its edges in g's order. A non-empty `perm` (a
+  // permutation of g's vertices) renumbers every endpoint v to perm[v]
+  // as the edges are read, and `map` is over the renumbered ids.
+  Partitioning(const Graph& g, VertexMap map,
+               std::span<const VertexId> perm = {});
 
   // Convenience: the paper's equal-width interval-block split. P >= 1
   // and P <= V (unless V == 0).
-  Partitioning(const Graph& g, std::uint32_t num_intervals);
+  Partitioning(const Graph& g, std::uint32_t num_intervals,
+               std::span<const VertexId> perm = {});
 
   std::uint32_t num_intervals() const { return map_.num_intervals(); }
   VertexId num_vertices() const { return map_.num_vertices(); }
@@ -159,6 +170,13 @@ class Partitioning {
   };
   const Replication& replication() const { return replication_; }
 
+  // Per-vertex out-degree in this schedule's ids (PageRank's rank
+  // scaling, the BFS and SSSP root choice), counted by the build's
+  // count pass; shared by copies of this partitioning.
+  const std::vector<std::uint32_t>& out_degrees() const {
+    return *out_degrees_;
+  }
+
   // Compatibility accessor, always empty: the build writes columns, not
   // Edge pairs. perfbench's bytes-per-edge metric still reads
   // grouped_edges().capacity() * sizeof(Edge) + lazy_bytes(), which is
@@ -181,8 +199,8 @@ class Partitioning {
   // PartitionCache does not count them: its budget is an entry cap.
   std::size_t lazy_bytes() const;
 
-  // Every byte this schedule holds: the block offsets, the vertex map
-  // and lazy_bytes().
+  // Every byte this schedule holds: the block offsets, the vertex map,
+  // the out-degree table and lazy_bytes().
   std::size_t resident_bytes() const;
 
  private:
@@ -191,8 +209,9 @@ class Partitioning {
   Partitioning() = default;
 
   // The counting sort and replication walk over map_, shared by every
-  // constructor; the caller holds the partition.build host span.
-  void build(const Graph& g);
+  // constructor, reading g's edges through `perm` (for_each_edge); the
+  // caller holds the partition.build host span.
+  void build(const Graph& g, std::span<const VertexId> perm);
 
   // The source-block index, shared across copies (the columns it
   // derives from are). Built once under `mu`; the atomic publishes the
@@ -210,6 +229,7 @@ class Partitioning {
   VertexMap map_;
   std::shared_ptr<const EdgeColumns> columns_;  // set by build()
   std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into columns_
+  std::shared_ptr<const std::vector<std::uint32_t>> out_degrees_;  // V
   Replication replication_;
   std::shared_ptr<Lazy> lazy_ = std::make_shared<Lazy>();
 };

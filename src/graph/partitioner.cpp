@@ -36,11 +36,15 @@ VertexId interval_capacity(VertexId num_vertices, std::uint32_t p) {
   return (num_vertices + p - 1) / p;
 }
 
-void check_interval_count(const Graph& g, std::uint32_t p) {
+void check_map_inputs(const Graph& g, std::uint32_t p,
+                      std::span<const VertexId> perm) {
   HYVE_CHECK(p >= 1);
   HYVE_CHECK_MSG(p <= g.num_vertices() || g.num_vertices() == 0,
                  "more intervals (" << p << ") than vertices ("
                                     << g.num_vertices() << ")");
+  HYVE_CHECK_MSG(perm.empty() || perm.size() == g.num_vertices(),
+                 "permutation of " << perm.size() << " ids for "
+                                   << g.num_vertices() << " vertices");
 }
 
 // For HEP's affinity placement: each low-degree vertex's neighbours (out
@@ -55,6 +59,7 @@ struct Adjacency {
 };
 
 Adjacency build_placed_adjacency(const Graph& g,
+                                 std::span<const VertexId> perm,
                                  const DenseBitset& is_high_degree) {
   // The (list owner, neighbour) pair of an edge; owner == kNone when
   // neither endpoint's list holds it (both high-degree, or a self-loop).
@@ -70,18 +75,18 @@ Adjacency build_placed_adjacency(const Graph& g,
   Adjacency adj;
   const VertexId v = g.num_vertices();
   adj.offsets.assign(v + std::size_t{1}, 0);
-  for (const Edge& e : g.edges()) {
+  for_each_edge(g, perm, [&](const Edge& e) {
     const VertexId owner = route(e).first;
     if (owner != kNone) ++adj.offsets[owner + 1];
-  }
+  });
   for (VertexId u = 0; u < v; ++u) adj.offsets[u + 1] += adj.offsets[u];
   adj.neighbors.resize(adj.offsets[v]);
   std::vector<std::uint64_t> cursor(adj.offsets.begin(),
                                     adj.offsets.end() - 1);
-  for (const Edge& e : g.edges()) {
+  for_each_edge(g, perm, [&](const Edge& e) {
     const auto [owner, neighbor] = route(e);
     if (owner != kNone) adj.neighbors[cursor[owner]++] = neighbor;
-  }
+  });
   return adj;
 }
 
@@ -90,8 +95,9 @@ class IntervalBlockPartitioner final : public Partitioner {
   explicit IntervalBlockPartitioner(PartitionerSpec spec) : spec_(spec) {}
   const PartitionerSpec& spec() const override { return spec_; }
 
-  VertexMap map_vertices(const Graph& g, std::uint32_t p) const override {
-    check_interval_count(g, p);
+  VertexMap map_vertices(const Graph& g, std::uint32_t p,
+                         std::span<const VertexId> perm) const override {
+    check_map_inputs(g, p, perm);
     return VertexMap::uniform(g.num_vertices(), p);
   }
 
@@ -104,16 +110,17 @@ class HepPartitioner final : public Partitioner {
   explicit HepPartitioner(PartitionerSpec spec) : spec_(spec) {}
   const PartitionerSpec& spec() const override { return spec_; }
 
-  VertexMap map_vertices(const Graph& g, std::uint32_t p) const override {
-    check_interval_count(g, p);
+  VertexMap map_vertices(const Graph& g, std::uint32_t p,
+                         std::span<const VertexId> perm) const override {
+    check_map_inputs(g, p, perm);
     const VertexId v = g.num_vertices();
     if (v == 0 || p == 1) return VertexMap::uniform(v, p);
 
     std::vector<std::uint32_t> degree(v, 0);
-    for (const Edge& e : g.edges()) {
+    for_each_edge(g, perm, [&](const Edge& e) {
       ++degree[e.src];
       ++degree[e.dst];
-    }
+    });
     const double avg_degree =
         2.0 * static_cast<double>(g.num_edges()) / static_cast<double>(v);
     const double threshold = spec_.hep_tau * avg_degree;
@@ -172,7 +179,7 @@ class HepPartitioner final : public Partitioner {
     // interval holding most of its already-placed neighbours (ties:
     // smaller population, then lower index); vertices with no placed
     // neighbour fall back to the least-populated interval.
-    const Adjacency adj = build_placed_adjacency(g, is_high_degree);
+    const Adjacency adj = build_placed_adjacency(g, perm, is_high_degree);
     std::vector<std::uint32_t> affinity(p, 0);
     std::vector<std::uint32_t> touched;
     for (VertexId u = 0; u < v; ++u) {
@@ -208,8 +215,9 @@ class SplitMergePartitioner final : public Partitioner {
   explicit SplitMergePartitioner(PartitionerSpec spec) : spec_(spec) {}
   const PartitionerSpec& spec() const override { return spec_; }
 
-  VertexMap map_vertices(const Graph& g, std::uint32_t p) const override {
-    check_interval_count(g, p);
+  VertexMap map_vertices(const Graph& g, std::uint32_t p,
+                         std::span<const VertexId> perm) const override {
+    check_map_inputs(g, p, perm);
     const VertexId v = g.num_vertices();
     if (v == 0 || p == 1) return VertexMap::uniform(v, p);
 
@@ -236,12 +244,12 @@ class SplitMergePartitioner final : public Partitioner {
         open_fill = 0;
       }
     };
-    for (const Edge& e : g.edges()) {
+    for_each_edge(g, perm, [&](const Edge& e) {
       touch(e.src);
       touch(e.dst);
       ++chunk_load[chunk_of[e.src]];
       ++chunk_load[chunk_of[e.dst]];
-    }
+    });
     // Vertices the stream never touched fill the remaining chunk slots.
     for (VertexId u = 0; u < v; ++u) touch(u);
 
@@ -425,11 +433,12 @@ std::optional<PartitionerSpec> parse_partitioner(const std::string& text) {
 }
 
 Partitioning Partitioner::partition(const Graph& g,
-                                    std::uint32_t num_intervals) const {
+                                    std::uint32_t num_intervals,
+                                    std::span<const VertexId> perm) const {
   const obs::HostSpan host_span("partition.build");
   Partitioning schedule;
-  schedule.map_ = map_vertices(g, num_intervals);
-  schedule.build(g);
+  schedule.map_ = map_vertices(g, num_intervals, perm);
+  schedule.build(g, perm);
   return schedule;
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "graph/partition.hpp"
@@ -69,6 +70,12 @@ std::optional<PartitionerSpec> parse_partitioner(const std::string& text);
 
 // Strategy interface: produces the vertex→interval assignment; the
 // edge grouping over it is shared by all strategies.
+//
+// Both calls take an optional vertex permutation (hash_permutation, the
+// §4.3 hash balancing). With one, every strategy reads g's edges through
+// it and walks vertices in permuted-id order, so the map and schedule
+// equal those of g.hashed_remap(seed) — HEP's and splitmerge's maps
+// depend on both — without that graph being built.
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
@@ -76,16 +83,18 @@ class Partitioner {
   // The spec this partitioner was built from (cache keys, labels).
   virtual const PartitionerSpec& spec() const = 0;
 
-  // Assigns g's vertices to num_intervals intervals. Requires
-  // 1 <= num_intervals <= V (unless V == 0); every strategy keeps
-  // interval populations <= ceil(V / num_intervals).
-  virtual VertexMap map_vertices(const Graph& g,
-                                 std::uint32_t num_intervals) const = 0;
+  // Assigns g's vertices (renumbered through `perm` when it is
+  // non-empty) to num_intervals intervals. Requires 1 <= num_intervals
+  // <= V (unless V == 0); every strategy keeps interval populations
+  // <= ceil(V / num_intervals).
+  virtual VertexMap map_vertices(const Graph& g, std::uint32_t num_intervals,
+                                 std::span<const VertexId> perm = {}) const = 0;
 
   // The full interval-block schedule over map_vertices(). The mapping
   // runs inside the schedule's partition.build host span: placing the
   // vertices is part of what a strategy's schedule costs to build.
-  Partitioning partition(const Graph& g, std::uint32_t num_intervals) const;
+  Partitioning partition(const Graph& g, std::uint32_t num_intervals,
+                         std::span<const VertexId> perm = {}) const;
 };
 
 std::unique_ptr<Partitioner> make_partitioner(const PartitionerSpec& spec);

@@ -121,9 +121,15 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
   options.jobs = 4;
   engine.run(spec, options);
 
-  // g1 + g2 + one hash-balanced image each (every config shares the
-  // default seed).
-  EXPECT_EQ(graphs.builds(), 4u);
+  // g1 and g2 only: every config hash-balances (one shared seed), and
+  // the schedule builds apply the permutation themselves, so the base
+  // graphs are the cache's only bytes.
+  EXPECT_EQ(graphs.builds(), 2u);
+  std::size_t base_bytes = 0;
+  for (const std::string& key : spec.graphs)
+    base_bytes +=
+        sizeof(Graph) + graphs.base(key).edges().capacity() * sizeof(Edge);
+  EXPECT_EQ(graphs.resident_bytes(), base_bytes);
   const std::size_t first = partitions.builds();
   EXPECT_GT(first, 0u);
   // All 12 cells share partitionings: at most one per (graph, config
@@ -132,7 +138,7 @@ TEST(SweepEngine, CachesBuildEachArtifactOnce) {
 
   // A second identical sweep hits every cache.
   engine.run(spec, options);
-  EXPECT_EQ(graphs.builds(), 4u);
+  EXPECT_EQ(graphs.builds(), 2u);
   EXPECT_EQ(partitions.builds(), first);
 }
 
@@ -153,20 +159,19 @@ TEST(SweepEngine, OnlyWeightedProgramsBuildAWeightColumn) {
     for (const Algorithm algorithm : spec.algorithms)
       cells.emplace_back(key, algorithm);
   // Visits every cached schedule by re-acquiring each cell's the way
-  // run_cached does (hits only), and counts those holding a weight
-  // column: anything beyond the 8 B/edge of src/dst.
+  // run_cached does (the base graph and the balance seed; hits only),
+  // and counts those holding a weight column: anything beyond the
+  // 8 B/edge of src/dst.
   const auto weighted_schedules = [&] {
     const std::size_t builds = partitions.builds();
     std::set<const Partitioning*> schedules;
     std::size_t weighted = 0;
     for (const auto& [key, algorithm] : cells) {
-      const std::shared_ptr<const Graph> graph =
-          graphs.acquire_balanced(key, config.hash_balance_seed);
+      const std::shared_ptr<const Graph> graph = graphs.acquire(key);
       const std::uint32_t p = HyveMachine(config).choose_num_intervals(
           *graph, make_program(algorithm)->vertex_value_bytes());
       const std::shared_ptr<const Partitioning> schedule = partitions.acquire(
-          exp::GraphCache::balanced_key(key, config.hash_balance_seed), *graph,
-          p);
+          key, *graph, p, config.partitioner, config.hash_balance_seed);
       const EdgeColumns& columns = schedule->edge_columns();
       if (schedules.insert(schedule.get()).second &&
           columns.approx_bytes() > columns.size() * 2 * sizeof(VertexId))
@@ -183,6 +188,80 @@ TEST(SweepEngine, OnlyWeightedProgramsBuildAWeightColumn) {
   engine.run(spec);
   cells.emplace_back("g1", Algorithm::kSssp);
   EXPECT_EQ(weighted_schedules(), 1u);
+}
+
+// The retained reference path: the hashed_remap image from the graph
+// cache, its schedule, then the two machine halves.
+RunReport remapped_graph_run(exp::GraphCache& graphs,
+                             exp::PartitionCache& partitions,
+                             const HyveConfig& config, Algorithm algorithm,
+                             const std::string& key) {
+  const HyveMachine machine(config);
+  const auto program = make_program(algorithm);
+  const std::shared_ptr<const Graph> balanced =
+      graphs.acquire_balanced(key, config.hash_balance_seed);
+  const std::uint32_t p =
+      machine.choose_num_intervals(*balanced, program->vertex_value_bytes());
+  const std::shared_ptr<const Partitioning> schedule = partitions.acquire(
+      exp::GraphCache::balanced_key(key, config.hash_balance_seed), *balanced,
+      p, config.partitioner);
+  const FunctionalOutcome outcome =
+      machine.run_functional_phase(*balanced, *schedule, *program);
+  return machine.run_with_functional(*balanced, *schedule, *program, outcome);
+}
+
+TEST(FusedRemap, RunsEqualTheRemappedGraphPath) {
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  exp::PartitionCache fused_schedules;
+  exp::PartitionCache remapped_schedules;
+  exp::FunctionalCache functional;
+  for (const char* strategy : {"interval", "hep:tau=2"}) {
+    for (const bool frontier : {false, true}) {
+      HyveConfig config = HyveConfig::hyve_opt();
+      config.frontier_block_skipping = frontier;
+      config.set_partitioner(*parse_partitioner(strategy));
+      ASSERT_TRUE(config.hash_balance);
+      for (const Algorithm algorithm : kAllAlgorithms) {
+        SCOPED_TRACE(::testing::Message()
+                     << strategy << (frontier ? " frontier " : " dense ")
+                     << algorithm_name(algorithm));
+        const std::string want = report_to_json(remapped_graph_run(
+            graphs, remapped_schedules, config, algorithm, "g1"));
+        EXPECT_EQ(report_to_json(HyveMachine(config).run(graphs.base("g1"),
+                                                         algorithm)),
+                  want);
+        EXPECT_EQ(report_to_json(exp::run_cached(graphs, fused_schedules,
+                                                 functional, config,
+                                                 algorithm, "g1")),
+                  want);
+      }
+    }
+  }
+}
+
+TEST(PartitionCache, ConcurrentBalancedAcquiresShareOneBuild) {
+  exp::GraphCache graphs;
+  add_test_graphs(graphs);
+  const std::shared_ptr<const Graph> graph = graphs.acquire("g1");
+  exp::PartitionCache partitions;
+  const PartitionerSpec hep = *parse_partitioner("hep:tau=2");
+  std::vector<const Partitioning*> got(8, nullptr);
+  {
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < got.size(); ++t)
+      pool.emplace_back([&, t] {
+        got[t] = partitions.acquire("g1", *graph, 8, hep, 42).get();
+      });
+    for (std::thread& th : pool) th.join();
+  }
+  EXPECT_EQ(partitions.builds(), 1u);
+  for (const Partitioning* p : got) EXPECT_EQ(p, got.front());
+  // Filed under the balanced image's key, apart from the base schedule.
+  EXPECT_EQ(partitions.acquire("g1", *graph, 8, hep, 42).get(), got.front());
+  EXPECT_NE(partitions.acquire("g1", *graph, 8, hep).get(), got.front());
+  EXPECT_EQ(partitions.builds(), 2u);
+  EXPECT_EQ(graphs.builds(), 1u);
 }
 
 TEST(SweepEngine, GraphCacheBuildsOnceUnderConcurrency) {
@@ -737,7 +816,7 @@ TEST(FunctionalCache, InertProgramsShareTheDenseEntryAcrossFrontierModes) {
   const auto decay = [] {
     GasProgram<float>::Spec spec;
     spec.name = "DECAY";
-    spec.init = [](VertexId v, const Graph&) {
+    spec.init = [](VertexId v, const Partitioning&) {
       return v % 3 == 0 ? 1.0f : 0.0f;
     };
     spec.scatter = [](const Edge&, const float& src,

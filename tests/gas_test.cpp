@@ -65,7 +65,7 @@ TEST(Gas, WidestPathMatchesDijkstraVariant) {
 TEST(Gas, ApplyPhaseMarksProgram) {
   GasProgram<float>::Spec spec;
   spec.name = "decay";
-  spec.init = [](VertexId, const Graph&) { return 1.0f; };
+  spec.init = [](VertexId, const Partitioning&) { return 1.0f; };
   spec.scatter = [](const Edge&, const float&, const float&)
       -> std::optional<float> { return std::nullopt; };
   spec.apply = [](VertexId, const float& v) { return v * 0.5f; };
@@ -81,7 +81,7 @@ TEST(Gas, ApplyPhaseMarksProgram) {
 TEST(Gas, ValueBytesTrackTemplateParameter) {
   EXPECT_EQ(make_reachability_program(0).vertex_value_bytes(), 4u);
   GasProgram<double>::Spec spec;
-  spec.init = [](VertexId, const Graph&) { return 0.0; };
+  spec.init = [](VertexId, const Partitioning&) { return 0.0; };
   spec.scatter = [](const Edge&, const double&, const double&)
       -> std::optional<double> { return std::nullopt; };
   EXPECT_EQ(GasProgram<double>(std::move(spec)).vertex_value_bytes(), 8u);
@@ -101,7 +101,7 @@ TEST(Gas, MaxIterationsCapRespected) {
   // A scatter that always changes would run forever without the cap.
   GasProgram<std::uint32_t>::Spec spec;
   spec.name = "count";
-  spec.init = [](VertexId, const Graph&) { return 0u; };
+  spec.init = [](VertexId, const Partitioning&) { return 0u; };
   spec.scatter = [](const Edge&, const std::uint32_t&,
                     const std::uint32_t& dst)
       -> std::optional<std::uint32_t> { return dst + 1; };

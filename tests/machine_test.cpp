@@ -275,7 +275,7 @@ TEST(Machine, CustomProgramRuns) {
    public:
     std::string name() const override { return "count"; }
     std::uint32_t vertex_value_bytes() const override { return 4; }
-    void init(const Graph&) override { count_ = 0; }
+    void init(const Partitioning&) override { count_ = 0; }
     bool process_edge(const Edge&) override {
       ++count_;
       return false;

@@ -307,6 +307,43 @@ TEST(Trace, SweepTraceIsIndependentOfJobCount) {
             std::string::npos);
 }
 
+TEST(Trace, SweepCacheTrackMatchesTheGraphCache) {
+  // Half the cells hash-balance, yet the analytic hit-rate track must
+  // end at the graph cache's own hit rate: balanced schedules put no
+  // image in the graph cache, so the track touches each cell's base
+  // graph only.
+  exp::GraphCache graphs;
+  exp::PartitionCache partitions;
+  graphs.add("a", [] { return test_graph(); });
+  graphs.add("b", [] { return generate_rmat(3000, 15000, {}, 8); });
+  HyveConfig unbalanced = HyveConfig::hyve_opt();
+  unbalanced.hash_balance = false;
+  unbalanced.label = "unbalanced";
+  exp::SweepSpec spec;
+  spec.configs = {HyveConfig::hyve_opt(), unbalanced};
+  spec.algorithms = {Algorithm::kPageRank, Algorithm::kBfs};
+  spec.graphs = {"a", "b"};
+  ASSERT_TRUE(spec.configs.front().hash_balance);
+  obs::Trace trace;
+  exp::SweepOptions options;
+  options.jobs = 1;
+  options.trace = &trace;
+  exp::SweepEngine(graphs, partitions).run(spec, options);
+  std::ostringstream os;
+  trace.write(os);
+  const std::string json = os.str();
+  const std::string key = "\"hit_rate\":";
+  const std::size_t last = json.rfind(key);
+  ASSERT_NE(last, std::string::npos);
+  const double track = std::stod(json.substr(last + key.size()));
+  const exp::MemoStats stats = graphs.stats();
+  EXPECT_EQ(stats.builds, 2u);
+  EXPECT_NEAR(track,
+              static_cast<double>(stats.hits) /
+                  static_cast<double>(stats.hits + stats.builds),
+              1e-9);
+}
+
 TEST(Trace, DramRowActivationsAreMirrored) {
   DramTimingSim sim;
   obs::Trace trace;

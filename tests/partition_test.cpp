@@ -181,12 +181,13 @@ TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {
     EXPECT_EQ(c.map.resident_bytes(), c.map_bytes);
     const Partitioning part(g, c.map);
     const std::size_t e = part.num_edges();
-    // The build leaves the src/dst columns (8 B/edge), the block offsets
-    // and the map, and nothing else.
+    // The build leaves the src/dst columns (8 B/edge), the block offsets,
+    // the map and the out-degree table (4 B/vertex), and nothing else.
     const std::size_t columns = e * 2 * sizeof(VertexId);
     const std::size_t built = columns +
                               (part.num_blocks() + 1) * sizeof(std::uint64_t) +
-                              c.map_bytes;
+                              c.map_bytes + v * sizeof(std::uint32_t);
+    EXPECT_EQ(part.out_degrees(), g.out_degrees());
     EXPECT_EQ(part.lazy_bytes(), columns);
     EXPECT_EQ(part.resident_bytes(), built);
     // Each weight column adds 4 B/edge on first use, once per

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algos/bfs.hpp"
@@ -504,6 +505,98 @@ TEST(PartitionerMachine, BuildTimeStatsEqualTheEdgeWalkExactly) {
   }
 }
 
+// ---------- the §4.3 remap fused into the build ----------
+
+// An R-MAT with a self-loop on every 97th vertex and every 13th edge
+// repeated at the end, so the fused build meets every edge shape.
+Graph rmat_with_loops_and_duplicates(std::uint64_t seed) {
+  const Graph base = generate_rmat(3000, 18000, {}, seed);
+  std::vector<Edge> edges = base.edges();
+  for (VertexId u = 0; u < base.num_vertices(); u += 97)
+    edges.push_back({u, u});
+  for (std::size_t i = 0; i < base.num_edges(); i += 13)
+    edges.push_back(base.edges()[i]);
+  return Graph(base.num_vertices(), std::move(edges));
+}
+
+std::pair<std::vector<VertexId>, std::vector<VertexId>> columns_of(
+    const Partitioning& part) {
+  const EdgeBlockSoA all = part.edge_columns().all();
+  return {{all.sources().begin(), all.sources().end()},
+          {all.destinations().begin(), all.destinations().end()}};
+}
+
+// Everything a schedule exposes: columns, block offsets, vertex map,
+// replication and out-degrees.
+void expect_same_schedule(const Partitioning& got, const Partitioning& want) {
+  ASSERT_EQ(got.num_intervals(), want.num_intervals());
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(columns_of(got), columns_of(want));
+  for (std::uint32_t x = 0; x < got.num_intervals(); ++x)
+    for (std::uint32_t y = 0; y < got.num_intervals(); ++y)
+      ASSERT_EQ(got.block_edge_count(x, y), want.block_edge_count(x, y))
+          << "block (" << x << ", " << y << ")";
+  for (VertexId v = 0; v < got.num_vertices(); ++v)
+    ASSERT_EQ(got.interval_of(v), want.interval_of(v)) << "vertex " << v;
+  EXPECT_EQ(got.vertex_map().is_contiguous(),
+            want.vertex_map().is_contiguous());
+  EXPECT_EQ(got.replication().copies, want.replication().copies);
+  EXPECT_EQ(got.replication().touched, want.replication().touched);
+  EXPECT_EQ(got.out_degrees(), want.out_degrees());
+}
+
+TEST(FusedRemap, PermutationIsTheRemapsRenumbering) {
+  const Graph g = rmat_with_loops_and_duplicates(3);
+  const std::vector<VertexId> perm = hash_permutation(g.num_vertices(), 11);
+  std::vector<VertexId> sorted = perm;
+  std::sort(sorted.begin(), sorted.end());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) ASSERT_EQ(sorted[v], v);
+  std::vector<Edge> read;
+  for_each_edge(g, perm, [&](const Edge& e) { read.push_back(e); });
+  EXPECT_EQ(read, g.hashed_remap(11).edges());
+  read.clear();
+  for_each_edge(g, {}, [&](const Edge& e) { read.push_back(e); });
+  EXPECT_EQ(read, g.edges());
+}
+
+TEST(FusedRemap, ScheduleEqualsPartitionOfTheRemappedGraph) {
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0x48795645},
+                                   std::uint64_t{977}}) {
+    const Graph g = rmat_with_loops_and_duplicates(seed);
+    const Graph remapped = g.hashed_remap(seed);
+    const std::vector<VertexId> perm = hash_permutation(g.num_vertices(), seed);
+    for (const char* strategy :
+         {"interval", "hep:tau=2", "splitmerge:chunks=8"}) {
+      const auto partitioner = make_partitioner(*parse_partitioner(strategy));
+      for (const std::uint32_t p : {1u, 8u, 16u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " " << strategy << " P=" << p);
+        const Partitioning want = partitioner->partition(remapped, p);
+        EXPECT_EQ(want.out_degrees(), remapped.out_degrees());
+        expect_same_schedule(partitioner->partition(g, p, perm), want);
+        // The constructors fuse the same way.
+        expect_same_schedule(
+            Partitioning(g, partitioner->map_vertices(g, p, perm), perm),
+            want);
+        if (partitioner->spec().is_default())
+          expect_same_schedule(Partitioning(g, p, perm), want);
+      }
+    }
+  }
+}
+
+TEST(FusedRemap, RejectsAPermutationOfAnotherSize) {
+  const Graph g = generate_rmat(500, 2500, {}, 5);
+  const std::vector<VertexId> short_perm = hash_permutation(499, 1);
+  for (const char* strategy :
+       {"interval", "hep:tau=2", "splitmerge:chunks=8"}) {
+    const auto partitioner = make_partitioner(*parse_partitioner(strategy));
+    EXPECT_THROW(partitioner->partition(g, 4, short_perm), InvariantError)
+        << strategy;
+  }
+  EXPECT_THROW(Partitioning(g, 4, short_perm), InvariantError);
+}
+
 // ---------- host profile of the build ----------
 
 // Wraps a strategy with a mapping that takes at least `kDelay`, so the
@@ -514,9 +607,10 @@ class SlowMappingPartitioner final : public Partitioner {
   explicit SlowMappingPartitioner(const PartitionerSpec& spec)
       : inner_(make_partitioner(spec)) {}
   const PartitionerSpec& spec() const override { return inner_->spec(); }
-  VertexMap map_vertices(const Graph& g, std::uint32_t p) const override {
+  VertexMap map_vertices(const Graph& g, std::uint32_t p,
+                         std::span<const VertexId> perm) const override {
     std::this_thread::sleep_for(kDelay);
-    return inner_->map_vertices(g, p);
+    return inner_->map_vertices(g, p, perm);
   }
 
  private:

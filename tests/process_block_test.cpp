@@ -90,8 +90,8 @@ void expect_lockstep(const Graph& g, const Partitioning& part,
                      const ProgramCase& pc, std::uint32_t max_passes) {
   const auto by_edge = pc.make();
   const auto by_block = pc.make();
-  by_edge->init(g);
-  by_block->init(g);
+  by_edge->init(part);
+  by_block->init(part);
   const std::uint32_t p = part.num_intervals();
   std::vector<char> ref_changed(g.num_vertices(), 0);
   std::vector<char> blk_changed(g.num_vertices(), 0);
@@ -127,11 +127,13 @@ void expect_lockstep(const Graph& g, const Partitioning& part,
 }
 
 // The pre-batching functional loop: one virtual call per edge, in the
-// order `for_each_edge(visit)` visits them.
+// order `for_each_edge(visit)` visits them, started from `schedule`.
 template <typename ForEachEdge>
-FunctionalResult reference_run(const Graph& graph, VertexProgram& program,
+FunctionalResult reference_run(const Graph& graph,
+                               const Partitioning& schedule,
+                               VertexProgram& program,
                                ForEachEdge for_each_edge) {
-  program.init(graph);
+  program.init(schedule);
   FunctionalResult result;
   bool more = true;
   while (more && result.iterations < program.max_iterations()) {
@@ -149,7 +151,7 @@ FunctionalResult reference_run(const Graph& graph, VertexProgram& program,
 FunctionalResult reference_run_functional(const Graph& graph,
                                           VertexProgram& program,
                                           const Partitioning& schedule) {
-  return reference_run(graph, program, [&](const auto& visit) {
+  return reference_run(graph, schedule, program, [&](const auto& visit) {
     const std::uint32_t p = schedule.num_intervals();
     for (std::uint32_t y = 0; y < p; ++y) {
       for (std::uint32_t x = 0; x < p; ++x) {
@@ -200,8 +202,9 @@ void expect_matches_per_edge_to_convergence(
 
       const auto ref_whole_program = pc.make();
       const auto whole_program = pc.make();
+      const Partitioning whole_graph(gc.graph, 1);
       const FunctionalResult ref_whole = reference_run(
-          gc.graph, *ref_whole_program, [&](const auto& visit) {
+          gc.graph, whole_graph, *ref_whole_program, [&](const auto& visit) {
             for (const Edge& e : gc.graph.edges()) visit(e);
           });
       expect_same_run(ref_whole, run_functional(gc.graph, *whole_program));
@@ -266,8 +269,8 @@ TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
     std::string name() const override { return "count"; }
     std::uint32_t vertex_value_bytes() const override { return 4; }
     std::uint32_t max_iterations() const override { return 1; }
-    void init(const Graph& graph) override {
-      seen_.assign(graph.num_vertices(), 0);
+    void init(const Partitioning& schedule) override {
+      seen_.assign(schedule.num_vertices(), 0);
     }
     bool process_edge(const Edge& e) override {
       // "Changes" a destination the first time an edge reaches it.
@@ -280,15 +283,15 @@ TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
   };
 
   const Graph g = paper_example_graph();
-  CountingProgram prog;
-  prog.init(g);
-  std::vector<char> changed(g.num_vertices(), 0);
   const Partitioning whole_graph(g, 1);
+  CountingProgram prog;
+  prog.init(whole_graph);
+  std::vector<char> changed(g.num_vertices(), 0);
   const std::uint64_t writes =
       prog.process_block(whole_graph.block(0, 0), &changed);
 
   CountingProgram ref;
-  ref.init(g);
+  ref.init(whole_graph);
   std::vector<char> ref_changed(g.num_vertices(), 0);
   std::uint64_t ref_writes = 0;
   for (const Edge& e : g.edges()) {
@@ -485,7 +488,7 @@ TEST(ProcessBlock, ChangedCoverAssertThrowsInDebugBuilds) {
   const Graph g(4, {{0, 3}});
   const Partitioning part(g, 1);
   BfsProgram program;
-  program.init(g);
+  program.init(part);
   std::vector<char> too_small(1, 0);  // cannot index destination 3
   EXPECT_THROW(program.process_block(part.block(0, 0), &too_small),
                InvariantError);
