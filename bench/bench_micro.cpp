@@ -1,16 +1,14 @@
 // Kernel-regression microbenchmarks: every vertex program through every
 // way the functional engine can stream edges — one case per graph family
-// x algorithm x {per-edge, block, block+reuse} over shared interval-block
+// x algorithm x {per-edge, block, frontier} over shared interval-block
 // schedules.
 //
 //   per-edge     — one virtual process_edge() call per edge (the scalar
 //                  reference the block kernels are diffed against)
 //   block        — process_block() over each block's src/dst/hash
 //                  columns (the kernels sweeps run)
-//   block+reuse  — the full frontier walk (run_frontier) with
-//                  per-iteration pattern reuse, i.e. what frontier sweeps
-//                  actually execute; honours --no-pattern-reuse like
-//                  every other frontier consumer
+//   frontier     — the interval-skipping frontier walk (run_frontier),
+//                  i.e. what frontier sweeps actually execute
 //
 // The dense layouts must produce identical iteration counts, write
 // totals and a bit-identical fingerprint of the final vertex state, and
@@ -50,8 +48,8 @@ constexpr std::uint32_t kNumIntervals = 64;
 
 // FNV-1a over the raw bytes of a program's final vertex state. Doubles
 // are hashed bit-exactly: the layouts preserve edge order (and the
-// frontier walk only skips provably write-free blocks), so even the
-// floating-point programs must match to the last bit.
+// frontier walk only skips blocks of unchanged source intervals), so
+// even the floating-point programs must match to the last bit.
 template <typename T>
 std::uint64_t fingerprint(const std::vector<T>& values) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -105,16 +103,16 @@ const ProgramCase kPrograms[] = {
 };
 constexpr std::size_t kNumPrograms = std::size(kPrograms);
 
-enum class Layout { kPerEdge, kBlock, kBlockReuse };
+enum class Layout { kPerEdge, kBlock, kFrontier };
 constexpr Layout kLayouts[] = {Layout::kPerEdge, Layout::kBlock,
-                               Layout::kBlockReuse};
+                               Layout::kFrontier};
 constexpr std::size_t kNumLayouts = std::size(kLayouts);
 
 const char* layout_name(Layout layout) {
   switch (layout) {
     case Layout::kPerEdge: return "per-edge";
     case Layout::kBlock: return "block";
-    case Layout::kBlockReuse: return "block+reuse";
+    case Layout::kFrontier: return "frontier";
   }
   return "?";
 }
@@ -127,17 +125,17 @@ struct RunOutcome {
 };
 
 // Runs `program` to convergence through one layout's dispatch path, in
-// the same destination-major block order for all of them. block+reuse is
-// the real frontier walk: its edges_streamed subtracts both the blocks
-// interval skipping never visited and the ones pattern reuse replayed.
+// the same destination-major block order for all of them. frontier is
+// the real frontier walk: its edges_streamed leaves out the blocks
+// interval skipping never visited.
 RunOutcome run_layout(const Graph& g, const Partitioning& part,
                       VertexProgram& program, Layout layout) {
   RunOutcome out;
-  if (layout == Layout::kBlockReuse) {
+  if (layout == Layout::kFrontier) {
     const FrontierTrace trace = run_frontier(g, program, part);
     out.iterations = trace.result.iterations;
     out.writes = trace.result.destination_writes;
-    out.edges_streamed = trace.result.edges_traversed - trace.edges_skipped;
+    out.edges_streamed = trace.result.edges_traversed;
     return out;
   }
   program.init(part);
@@ -180,12 +178,10 @@ int main(int argc, char** argv) {
 
   // Two synthetic families, one schedule each, shared by every cell:
   // Erdős–Rényi at mean degree 6 (no hubs, a scattered frontier that
-  // narrows over ~5 passes — the regime block-level pattern reuse
-  // targets) and Barabási–Albert (heavy-tail, hub-rooted traversals that
-  // converge in a burst and then coast on clean blocks). Smaller under
-  // --smoke so the determinism ctest stays quick. The weight columns
-  // of SSSP (64) and SpMV (1024), the out-degree table and the reuse
-  // index (all built on first use) are forced here, outside any
+  // narrows over ~5 passes) and Barabási–Albert (heavy-tail, hub-rooted
+  // traversals that converge in a burst). Smaller under --smoke so the
+  // determinism ctest stays quick. The weight columns of SSSP (64) and
+  // SpMV (1024), built on first use, are forced here, outside any
   // stopwatch — sweeps amortise them across a whole grid the same way.
   struct GraphCase {
     const char* label;     // table column
@@ -197,7 +193,6 @@ int main(int argc, char** argv) {
     Partitioning part(g, kNumIntervals);
     part.edge_columns().weights(64);
     part.edge_columns().weights(1024);
-    part.source_block_index();
     return GraphCase{label, std::move(key), std::move(g), std::move(part)};
   };
   std::vector<GraphCase> graphs;
@@ -259,7 +254,7 @@ int main(int argc, char** argv) {
       const RunOutcome& ref = cells[base].outcome;
       for (std::size_t l = 1; l < kNumLayouts; ++l) {
         const RunOutcome& got = cells[base + l].outcome;
-        const bool dense = kLayouts[l] != Layout::kBlockReuse;
+        const bool dense = kLayouts[l] != Layout::kFrontier;
         HYVE_CHECK_MSG((!dense || (got.iterations == ref.iterations &&
                                    got.writes == ref.writes)) &&
                            got.checksum == ref.checksum,
@@ -286,7 +281,7 @@ int main(int argc, char** argv) {
   Table table({"graph", "algorithm", "layout", "iters", "Medges streamed",
                "ms", "vs per-edge"});
   WorstCase block_worst;
-  WorstCase reuse_worst;
+  WorstCase frontier_worst;
   std::size_t block_wins = 0;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     for (std::size_t a = 0; a < kNumPrograms; ++a) {
@@ -310,7 +305,8 @@ int main(int argc, char** argv) {
       const double block_speedup = per_edge_s / block_s;
       block_wins += block_speedup > 1.0 ? 1 : 0;
       track_worst(block_worst, block_speedup, case_name);
-      track_worst(reuse_worst, block_s / cells[base + 2].seconds, case_name);
+      track_worst(frontier_worst, block_s / cells[base + 2].seconds,
+                  case_name);
     }
   }
   table.print(std::cout);
@@ -341,9 +337,9 @@ int main(int argc, char** argv) {
   std::ostringstream measured;
   measured << "block beats per-edge in " << block_wins << " of " << num_cases
            << " cases (worst " << Table::num(block_worst.ratio, 2) << "x, "
-           << block_worst.name << "); block+reuse vs block: worst "
-           << Table::num(reuse_worst.ratio, 2) << "x (" << reuse_worst.name
-           << "); ";
+           << block_worst.name << "); frontier vs block: worst "
+           << Table::num(frontier_worst.ratio, 2) << "x ("
+           << frontier_worst.name << "); ";
   if (opts.smoke)
     measured << "smoke: work proxies, not wall clock, no verdict";
   else

@@ -191,13 +191,12 @@ struct JsonReport {
 //   --datasets YT,WK,...  restrict the dataset axis of dataset benches
 //   --partitioner SPEC    partitioning strategy for every cell
 //   --smoke               deterministic stand-ins for wall-clock timings
-//   --graph-cache-mb N    byte budget for the shared graph cache
 //   --partition-cache N   entry cap for the shared partition cache
 //   --cache-stats         print cache counters to stderr after the run
 //   --json PATH           write a versioned bench report JSON of the run
 //                         (validate/diff/record with hyve_report)
 // plus the exp::RunSession flags (--metrics, --host-profile, --trace,
-// --live-status, --no-pattern-reuse).
+// --live-status).
 struct Options {
   int jobs = 1;
   bool smoke = false;
@@ -222,7 +221,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
   const auto started = std::chrono::steady_clock::now();
   Options opts;
   std::string json_path;
-  bool explicit_graph_budget = false;
   cli::ArgParser parser(prog, summary);
   parser.option("--jobs", "N",
                 "worker threads (0 = hardware concurrency; default 1)",
@@ -253,15 +251,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
               "deterministic stand-ins for wall-clock measurements "
               "(bench-smoke CI; numbers are not measurements)",
               &opts.smoke);
-  parser.option("--graph-cache-mb", "N",
-                "graph cache byte budget in MiB (0 = unbounded; default "
-                "auto-sized from available memory)",
-                [&](const std::string& v) {
-                  explicit_graph_budget = true;
-                  graph_cache().set_byte_budget(
-                      units::MiB(static_cast<std::uint64_t>(cli::parse_int(
-                          parser, "--graph-cache-mb", v, 0, 1 << 20))));
-                });
   parser.option("--partition-cache", "N",
                 "partition cache entry cap (0 = unbounded; default 0)",
                 [&](const std::string& v) {
@@ -291,20 +280,6 @@ inline Options parse_args(int argc, char** argv, const std::string& prog,
     save_report = [report] { report.write(); };
   }
   opts.session.start(argc, argv, std::move(save_report));
-  // Without --graph-cache-mb the budget is sized from the machine
-  // (fixed 256 MiB under --smoke so CI output is host-independent)
-  // instead of growing without bound. Logged to stderr — stdout keeps
-  // the byte-identical --jobs guarantee.
-  if (!explicit_graph_budget) {
-    const std::size_t budget = exp::default_graph_cache_budget(opts.smoke);
-    graph_cache().set_byte_budget(budget);
-    std::cerr << prog << ": graph cache budget auto-sized to ";
-    if (budget > 0)
-      std::cerr << budget / (1024 * 1024) << " MiB";
-    else
-      std::cerr << "unbounded (available memory unknown)";
-    std::cerr << " (override with --graph-cache-mb)\n";
-  }
   return opts;
 }
 
@@ -338,9 +313,7 @@ inline FunctionalResult whole_graph_functional(DatasetId id, Algorithm algo) {
   };
   return sweep_engine()
       .functional()
-      .acquire({key, program->name(), "interval", 1, false,
-                pattern_reuse_enabled()},
-               build)
+      .acquire({key, program->name(), "interval", 1, false}, build)
       ->result;
 }
 

@@ -10,11 +10,10 @@
 # out-of-range R-MAT vertex counts exit 2), a live-telemetry smoke run
 # (--live-status snapshots, hyve_top, and the SIGTERM flight-record
 # path), a docs/METRICS.md drift check, a kernel-regression smoke run
-# (bench_micro's built-in layout-equivalence gate plus an end-to-end
-# proof that pattern reuse never changes a byte of sweep output), the
+# (bench_micro's built-in layout-equivalence gate plus a --jobs 1 vs 8
+# byte-diff of a frontier sweep), the
 # sweep-engine concurrency tests under ThreadSanitizer, then every unit
-# test in a Debug AddressSanitizer + UBSan build (which also compiles
-# the NDEBUG-gated debug checks).
+# test in a Debug AddressSanitizer + UBSan build.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -108,8 +107,8 @@ echo "bench-json: OK"
 # must stay byte-identical across --jobs (exp_test diffs it against
 # uncached HyveMachine::run records). The sweep hash-balances every
 # cell, yet its graph cache must hold no bytes: the dataset is pinned
-# outside the budget and the schedule builds apply the permutation
-# themselves, so no second (remapped) edge image may appear.
+# and the schedule builds apply the permutation themselves, so no
+# second (remapped) edge image may appear.
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 1 \
   --cache-stats > "$obs_dir/exp_j1.jsonl" 2>"$obs_dir/exp_stats.txt"
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --jobs 8 \
@@ -276,10 +275,8 @@ echo "metrics-doc: OK"
 # kernel-regression: bench_micro runs every program through every edge
 # layout and aborts itself if any kernel drifts from the per-edge
 # reference, so a clean exit IS the equivalence check; its smoke report
-# must satisfy hyve_report and be byte-identical across --jobs. Pattern
-# reuse must be invisible end-to-end: a frontier sweep that really skips
-# blocks may not change by a byte with the reuse layer disabled, serial
-# or parallel.
+# must satisfy hyve_report and be byte-identical across --jobs, and so
+# must a frontier sweep that really skips blocks.
 ./build/bench/bench_micro --smoke --jobs 1 \
   --json "$obs_dir/micro_j1.json" >/dev/null 2>&1 ||
   { echo "kernel-regression: bench_micro layout equivalence failed" >&2
@@ -295,19 +292,11 @@ cmp "$obs_dir/micro_j1.nohost" "$obs_dir/micro_j8.nohost" ||
   { echo "kernel-regression: --jobs 1 and --jobs 8 reports differ" >&2
     exit 1; }
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --frontier \
-  --jobs 1 --metrics > "$obs_dir/exp_reuse.jsonl" \
-  2>"$obs_dir/exp_reuse_metrics.txt"
-grep -q 'sim\.kernel\.blocks_skipped=[1-9]' "$obs_dir/exp_reuse_metrics.txt" ||
-  { echo "kernel-regression: pattern reuse skipped no blocks" >&2; exit 1; }
+  --jobs 1 > "$obs_dir/exp_frontier_j1.jsonl"
 ./build/tools/hyve_experiments --datasets YT --algos bfs,pr --frontier \
-  --jobs 1 --no-pattern-reuse > "$obs_dir/exp_noreuse.jsonl"
-cmp "$obs_dir/exp_reuse.jsonl" "$obs_dir/exp_noreuse.jsonl" ||
-  { echo "kernel-regression: --no-pattern-reuse changed sweep output" >&2
-    exit 1; }
-./build/tools/hyve_experiments --datasets YT --algos bfs,pr --frontier \
-  --jobs 8 --no-pattern-reuse > "$obs_dir/exp_noreuse_j8.jsonl"
-cmp "$obs_dir/exp_noreuse.jsonl" "$obs_dir/exp_noreuse_j8.jsonl" ||
-  { echo "kernel-regression: reuse-off sweep differs across --jobs" >&2
+  --jobs 8 > "$obs_dir/exp_frontier_j8.jsonl"
+cmp "$obs_dir/exp_frontier_j1.jsonl" "$obs_dir/exp_frontier_j8.jsonl" ||
+  { echo "kernel-regression: frontier sweep differs across --jobs" >&2
     exit 1; }
 echo "kernel-regression: OK"
 

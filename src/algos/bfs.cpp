@@ -30,9 +30,7 @@ bool BfsProgram::process_edge(const Edge& e) {
   return false;
 }
 
-std::uint64_t BfsProgram::process_block(const EdgeBlockSoA& block,
-                                        std::vector<char>* changed) {
-  debug_check_changed_cover(changed, block);
+std::uint64_t BfsProgram::process_block(const EdgeBlockSoA& block) {
   std::uint32_t* const dist = dist_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
@@ -49,7 +47,6 @@ std::uint64_t BfsProgram::process_block(const EdgeBlockSoA& block,
     if (candidate < dist[dst[i]]) {
       dist[dst[i]] = candidate;
       ++writes;
-      if (changed != nullptr) (*changed)[dst[i]] = 1;
     }
   }
   changed_ |= writes > 0;

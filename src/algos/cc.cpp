@@ -20,9 +20,7 @@ bool CcProgram::process_edge(const Edge& e) {
   return false;
 }
 
-std::uint64_t CcProgram::process_block(const EdgeBlockSoA& block,
-                                       std::vector<char>* changed) {
-  debug_check_changed_cover(changed, block);
+std::uint64_t CcProgram::process_block(const EdgeBlockSoA& block) {
   VertexId* const label = label_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
@@ -34,7 +32,6 @@ std::uint64_t CcProgram::process_block(const EdgeBlockSoA& block,
     if (ls < label[dst[i]]) {
       label[dst[i]] = ls;
       ++writes;
-      if (changed != nullptr) (*changed)[dst[i]] = 1;
     }
   }
   changed_ |= writes > 0;

@@ -14,16 +14,6 @@
 // trace matches the dense model exactly (tested). Callers that already
 // hold the dense result build that trace with full_pass_trace instead
 // of walking again.
-//
-// On top of the interval-granular skip sits per-iteration *pattern
-// reuse* ("Leveraging Recurrent Patterns in Graph Accelerators",
-// PAPERS.md): a block whose individual source vertices are all
-// unchanged since the previous iteration cannot relax anything even
-// when its source interval is active, so it is skipped and *replayed* —
-// recorded in the trace with its full edge count and zero writes, as
-// streaming it would have produced. Results, traces and reports are
-// byte-identical with reuse on or off (tested); only the host-side work
-// and the sim.kernel.blocks_skipped / edges_skipped tallies differ.
 #pragma once
 
 #include <cstdint>
@@ -72,33 +62,17 @@ struct FrontierTrace {
   std::uint64_t edges_in_iteration(std::uint32_t iter) const;
   std::uint64_t active_blocks_in_iteration(std::uint32_t iter) const;
 
-  // Pattern-reuse tallies: blocks replayed instead of re-streamed, and
-  // the edges those replays avoided streaming. Replayed blocks still
-  // appear in iteration_blocks (and in edges_traversed) with their full
-  // counts — the simulated machine streams them either way; these
-  // fields record the *host-side* work the reuse saved, surfaced as the
-  // sim.kernel.* metrics.
+  // Always 0: the walk skips whole source intervals and replays no
+  // block. Kept only because perfbench's traced reps read it.
   std::uint64_t blocks_skipped = 0;
-  std::uint64_t edges_skipped = 0;
 
   // Honest size estimate for cache accounting.
   std::size_t approx_bytes() const;
 };
 
-// Process-wide default for run_frontier's per-iteration pattern reuse;
-// on unless --no-pattern-reuse flipped it off. A global rather than a
-// HyveConfig field on purpose: reuse never changes any result or
-// report, so it must not split cache keys or config labels.
+// Always false. Kept only because perfbench's traced reps ask it whether
+// to build a source-block index.
 bool pattern_reuse_enabled();
-void set_pattern_reuse_enabled(bool on);
-
-struct FrontierOptions {
-  // Skip/replay blocks whose active-source set is unchanged since the
-  // previous iteration (sound for the same monotone programs interval
-  // skipping is sound for; apply-phase programs degenerate to full
-  // passes either way).
-  bool pattern_reuse = true;
-};
 
 // Whether run_frontier's skipping can ever narrow `program`'s passes:
 // false for apply-phase programs, which rewrite every vertex each
@@ -117,11 +91,7 @@ FrontierTrace full_pass_trace(const Partitioning& schedule,
 // Runs `program` to convergence, skipping blocks with inactive source
 // intervals. Results are identical to the dense run for programs whose
 // process_edge() returns false whenever the destination is unchanged.
-// The two-argument form takes the process-wide pattern-reuse default.
 FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
                            const Partitioning& schedule);
-FrontierTrace run_frontier(const Graph& graph, VertexProgram& program,
-                           const Partitioning& schedule,
-                           const FrontierOptions& options);
 
 }  // namespace hyve

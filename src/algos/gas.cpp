@@ -16,8 +16,8 @@ GasProgram<std::uint32_t> make_reachability_program(VertexId root) {
     if (src != 0 && dst == 0) return 1u;
     return std::nullopt;
   };
-  spec.scatter_block = [](const EdgeBlockSoA& block, std::uint32_t* values,
-                          std::vector<char>* changed) -> std::uint64_t {
+  spec.scatter_block = [](const EdgeBlockSoA& block,
+                          std::uint32_t* values) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
     std::uint64_t writes = 0;
@@ -25,7 +25,6 @@ GasProgram<std::uint32_t> make_reachability_program(VertexId root) {
       if (values[src[i]] != 0 && values[dst[i]] == 0) {
         values[dst[i]] = 1;
         ++writes;
-        if (changed != nullptr) (*changed)[dst[i]] = 1;
       }
     }
     return writes;
@@ -50,9 +49,8 @@ GasProgram<std::uint32_t> make_widest_path_program(
     if (through > dst) return through;
     return std::nullopt;
   };
-  spec.scatter_block = [max_capacity](
-                           const EdgeBlockSoA& block, std::uint32_t* values,
-                           std::vector<char>* changed) -> std::uint64_t {
+  spec.scatter_block = [max_capacity](const EdgeBlockSoA& block,
+                                      std::uint32_t* values) -> std::uint64_t {
     const VertexId* const src = block.src;
     const VertexId* const dst = block.dst;
     const std::uint32_t* const weight = block.weights(max_capacity);
@@ -66,7 +64,6 @@ GasProgram<std::uint32_t> make_widest_path_program(
       if (through > values[dst[i]]) {
         values[dst[i]] = through;
         ++writes;
-        if (changed != nullptr) (*changed)[dst[i]] = 1;
       }
     }
     return writes;

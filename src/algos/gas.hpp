@@ -50,12 +50,10 @@ class GasProgram final : public VertexProgram {
     std::function<Value(VertexId, const Value&)> apply;
     // Optional fused block kernel: must be observably identical to
     // applying `scatter` edge by edge in block order (same writes, same
-    // write count, same changed-marking). Ready-made programs install
-    // one so the hot path pays one call per block instead of one
-    // std::function dispatch per edge; when absent the adapter loops
-    // `scatter` itself.
-    std::function<std::uint64_t(const EdgeBlockSoA& block, Value* values,
-                                std::vector<char>* changed)>
+    // write count). Ready-made programs install one so the hot path pays
+    // one call per block instead of one std::function dispatch per edge;
+    // when absent the adapter loops `scatter` itself.
+    std::function<std::uint64_t(const EdgeBlockSoA& block, Value* values)>
         scatter_block;
     // Stop after this many iterations even if still changing.
     std::uint32_t max_iterations = 1000;
@@ -90,12 +88,9 @@ class GasProgram final : public VertexProgram {
     return true;
   }
 
-  std::uint64_t process_block(const EdgeBlockSoA& block,
-                              std::vector<char>* changed) override {
-    debug_check_changed_cover(changed, block);
+  std::uint64_t process_block(const EdgeBlockSoA& block) override {
     if (spec_.scatter_block) {
-      const std::uint64_t writes =
-          spec_.scatter_block(block, values_.data(), changed);
+      const std::uint64_t writes = spec_.scatter_block(block, values_.data());
       changed_ |= writes > 0;
       return writes;
     }
@@ -114,7 +109,6 @@ class GasProgram final : public VertexProgram {
       if (!next.has_value()) continue;
       values[dst[i]] = *next;
       ++writes;
-      if (changed != nullptr) (*changed)[dst[i]] = 1;
     }
     changed_ |= writes > 0;
     return writes;

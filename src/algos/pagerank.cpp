@@ -27,26 +27,16 @@ bool PageRankProgram::process_edge(const Edge& e) {
   return true;
 }
 
-std::uint64_t PageRankProgram::process_block(const EdgeBlockSoA& block,
-                                             std::vector<char>* changed) {
-  debug_check_changed_cover(changed, block);
+std::uint64_t PageRankProgram::process_block(const EdgeBlockSoA& block) {
   double* const accum = accum_.data();
   const float* const contribution = contribution_.data();
   const VertexId* const src = block.src;
   const VertexId* const dst = block.dst;
   // The accumulation order is the result (FP addition is non-
   // associative and the reference is sequential), so the gather-add
-  // loop stays scalar; splitting the changed-marking out of it keeps it
-  // branch-free either way.
+  // loop stays scalar.
   for (std::size_t i = 0; i < block.count; ++i)
     accum[dst[i]] += contribution[src[i]];
-  if (changed != nullptr) {
-    char* const mark = changed->data();
-    // Stores of the constant 1 — duplicate destinations are benign and
-    // order-free, so this scatter is safe to vectorize.
-#pragma omp simd
-    for (std::size_t i = 0; i < block.count; ++i) mark[dst[i]] = 1;
-  }
   return block.count;
 }
 

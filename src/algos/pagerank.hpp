@@ -26,8 +26,7 @@ class PageRankProgram final : public VertexProgram {
 
   void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
-  std::uint64_t process_block(const EdgeBlockSoA& block,
-                              std::vector<char>* changed) override;
+  std::uint64_t process_block(const EdgeBlockSoA& block) override;
   bool end_iteration(std::uint32_t completed_iterations) override;
 
   const std::vector<double>& ranks() const { return rank_; }

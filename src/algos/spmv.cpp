@@ -31,9 +31,7 @@ bool SpmvProgram::process_edge(const Edge& e) {
   return true;
 }
 
-std::uint64_t SpmvProgram::process_block(const EdgeBlockSoA& block,
-                                         std::vector<char>* changed) {
-  debug_check_changed_cover(changed, block);
+std::uint64_t SpmvProgram::process_block(const EdgeBlockSoA& block) {
   double* const y = y_.data();
   const double* const x = x_.data();
   const VertexId* const src = block.src;
@@ -46,11 +44,6 @@ std::uint64_t SpmvProgram::process_block(const EdgeBlockSoA& block,
   for (std::size_t i = 0; i < block.count; ++i) {
     const double a = weight[i] / 1024.0;
     y[dst[i]] += a * x[src[i]];
-  }
-  if (changed != nullptr) {
-    char* const mark = changed->data();
-#pragma omp simd
-    for (std::size_t i = 0; i < block.count; ++i) mark[dst[i]] = 1;
   }
   return block.count;
 }

@@ -19,8 +19,7 @@ class SpmvProgram final : public VertexProgram {
 
   void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
-  std::uint64_t process_block(const EdgeBlockSoA& block,
-                              std::vector<char>* changed) override;
+  std::uint64_t process_block(const EdgeBlockSoA& block) override;
   bool end_iteration(std::uint32_t completed_iterations) override;
 
   // x[v] is a deterministic function of v so results are reproducible.

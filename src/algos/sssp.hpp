@@ -27,8 +27,7 @@ class SsspProgram final : public VertexProgram {
 
   void init(const Partitioning& schedule) override;
   bool process_edge(const Edge& e) override;
-  std::uint64_t process_block(const EdgeBlockSoA& block,
-                              std::vector<char>* changed) override;
+  std::uint64_t process_block(const EdgeBlockSoA& block) override;
   bool end_iteration(std::uint32_t completed_iterations) override;
 
   const std::vector<std::uint64_t>& distances() const { return dist_; }

@@ -24,30 +24,8 @@
 #include "graph/edge_columns.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
-#include "util/check.hpp"
 
 namespace hyve {
-
-// Debug-build enforcement of the `changed` contract of process_block:
-// the vector must be indexable by every destination id of the block.
-// The kernels index it unchecked on the hot path, so a short vector
-// would corrupt memory silently; debug builds (NDEBUG undefined) scan
-// the block up front and fail loudly instead. Release builds compile
-// this to nothing.
-inline void debug_check_changed_cover(const std::vector<char>* changed,
-                                      const EdgeBlockSoA& block) {
-#ifndef NDEBUG
-  if (changed == nullptr) return;
-  for (std::size_t i = 0; i < block.count; ++i)
-    HYVE_CHECK_MSG(block.dst[i] < changed->size(),
-                   "changed vector of size " << changed->size()
-                                             << " cannot index destination "
-                                             << block.dst[i]);
-#else
-  (void)changed;
-  (void)block;
-#endif
-}
 
 class VertexProgram {
  public:
@@ -74,25 +52,15 @@ class VertexProgram {
   // columns (graph/edge_columns.hpp; weighted programs fetch their
   // weight column once per block with block.weights(max_weight)), in
   // block order; returns how many of its edges changed their
-  // destination. When `changed` is non-null it must be indexable by
-  // every destination id in the block; the entry of each changed
-  // destination is set to 1 (entries are never cleared — the frontier
-  // walk owns the reset).
+  // destination.
   // Concrete programs override this with a tight non-virtual loop — one
   // virtual call per block instead of one per edge — and must stay
   // result-equivalent to this per-edge reference, which the
   // process_block differential tests pin for every algorithm.
-  virtual std::uint64_t process_block(const EdgeBlockSoA& block,
-                                      std::vector<char>* changed = nullptr) {
-    debug_check_changed_cover(changed, block);
+  virtual std::uint64_t process_block(const EdgeBlockSoA& block) {
     std::uint64_t writes = 0;
-    for (std::size_t i = 0; i < block.count; ++i) {
-      const Edge e = block.edge(i);
-      if (process_edge(e)) {
-        ++writes;
-        if (changed != nullptr) (*changed)[e.dst] = 1;
-      }
-    }
+    for (std::size_t i = 0; i < block.count; ++i)
+      if (process_edge(block.edge(i))) ++writes;
     return writes;
   }
 

@@ -603,17 +603,6 @@ RunReport HyveMachine::account(const Graph& graph, VertexProgram& program,
     wake.observe(static_cast<std::uint64_t>(
         1000.0 * report.partition.bank_wake_fraction));
   }
-  if (obs::enabled() && frontier != nullptr) {
-    // Host-side pattern-reuse tallies carried on the trace (zero when
-    // reuse is off). Observed from the trace rather than at skip time so
-    // functional-cache replays account identically to fresh runs.
-    static obs::Counter& blocks_skipped =
-        obs::registry().counter("sim.kernel.blocks_skipped");
-    static obs::Counter& edges_skipped =
-        obs::registry().counter("sim.kernel.edges_skipped");
-    blocks_skipped.add(frontier->blocks_skipped);
-    edges_skipped.add(frontier->edges_skipped);
-  }
 
   if (sink.on())
     sink.name_tracks(config_.label + " / " + program.name(),

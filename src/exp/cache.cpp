@@ -1,6 +1,5 @@
 #include "exp/cache.hpp"
 
-#include <fstream>
 #include <ostream>
 
 #include "util/check.hpp"
@@ -10,7 +9,7 @@ namespace hyve::exp {
 GraphCache::GraphCache()
     : memo_({.prefix = "exp.graph_cache",
              .resident_gauge = "resident_bytes",
-             // Heap footprint of an owned graph: what eviction can free.
+             // Heap footprint of an owned graph.
              .cost =
                  [](const Graph& g) {
                    return sizeof(Graph) + g.edges().capacity() * sizeof(Edge);
@@ -65,23 +64,9 @@ std::shared_ptr<const Graph> GraphCache::acquire(const std::string& key) {
 
 std::shared_ptr<const Graph> GraphCache::acquire_balanced(
     const std::string& key, std::uint64_t seed) {
-  // Re-acquire the base graph inside the build so a rebuild after
-  // eviction restores the source first (and holds it alive).
   return memo_.acquire(balanced_key(key, seed), [&] {
     return acquire(key)->hashed_remap(seed);
   });
-}
-
-std::size_t default_graph_cache_budget(bool smoke) {
-  if (smoke) return std::size_t{256} << 20;
-  std::ifstream meminfo("/proc/meminfo");
-  std::string key;
-  std::uint64_t kib = 0;
-  std::string unit;
-  while (meminfo >> key >> kib >> unit)
-    if (key == "MemAvailable:")
-      return static_cast<std::size_t>(kib) * 1024 / 4;
-  return 0;  // no MemAvailable (non-Linux): keep the unbounded default
 }
 
 PartitionCache::PartitionCache()

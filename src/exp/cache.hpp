@@ -13,9 +13,9 @@
 // another worker still uses only drops the cache's reference.
 //
 // All three count hits, builds and evictions (exp.<cache>.* in the
-// registry) plus one resident gauge each. GraphCache takes an optional
-// byte budget and PartitionCache an optional entry cap; the functional
-// cache is unbounded and lives as long as the SweepEngine that holds it.
+// registry) plus one resident gauge each. PartitionCache takes an
+// optional entry cap; the graph and functional caches are unbounded and
+// live as long as their owners.
 #pragma once
 
 #include <cstdint>
@@ -45,19 +45,16 @@ class GraphCache {
  public:
   GraphCache();
 
-  // Registers a lazily-built graph under `key` (throws if taken). `make`
-  // must be deterministic: under a byte budget the entry may be evicted
-  // and rebuilt by a later request.
+  // Registers a lazily-built graph under `key` (throws if taken), built
+  // once on first use.
   void add(const std::string& key, std::function<Graph()> make);
   // Registers an already-built graph. The cache pins it (it owns the only
-  // copy and cannot rebuild it), so it is exempt from eviction.
+  // copy), so resident_bytes() does not count it.
   void add(const std::string& key, Graph graph);
 
   bool contains(const std::string& key) const;
 
-  // The registered graph, built on first use. The shared_ptr keeps the
-  // graph alive across a concurrent eviction — under a byte budget,
-  // prefer it over the reference-returning base() below.
+  // The registered graph, built on first use.
   std::shared_ptr<const Graph> acquire(const std::string& key);
 
   // The hashed_remap(seed) image of `key` (§4.3 balancing), memoised
@@ -67,8 +64,8 @@ class GraphCache {
   std::shared_ptr<const Graph> acquire_balanced(const std::string& key,
                                                 std::uint64_t seed);
 
-  // Reference-returning convenience for callers that set no byte budget
-  // (the reference is valid only while the entry stays resident).
+  // Reference-returning convenience; valid as long as the cache lives
+  // (no graph entry is ever evicted).
   const Graph& base(const std::string& key) { return *acquire(key); }
 
   // Key of the hash-balanced image of `key`: what PartitionCache and
@@ -78,12 +75,8 @@ class GraphCache {
     return key + "#balanced:" + std::to_string(seed);
   }
 
-  // LRU byte budget over owned graphs (0 = unbounded, the default).
-  // Dataset-backed and pinned entries are exempt; everything else is
-  // evicted least-recently-used first until the budget holds.
-  void set_byte_budget(std::size_t bytes) { memo_.set_budget(bytes); }
-  std::size_t byte_budget() const { return memo_.budget(); }
-  // Bytes of owned graphs currently resident.
+  // Bytes of owned, unpinned graphs currently resident (lazily built
+  // entries and acquire_balanced images).
   std::size_t resident_bytes() const { return memo_.resident(); }
 
   MemoStats stats() const { return memo_.stats(); }
@@ -105,13 +98,6 @@ class GraphCache {
   Memo<std::string, Graph> memo_;
 };
 
-// Byte budget for a GraphCache when the user gave none: a quarter of
-// the machine's currently available memory (/proc/meminfo MemAvailable),
-// so a generated-graph sweep cannot swap the host, or 0 (unbounded) on
-// platforms where that cannot be read. Smoke runs get a fixed 256 MiB so
-// CI output never depends on the host's memory pressure.
-std::size_t default_graph_cache_budget(bool smoke);
-
 // Partitionings keyed by (graph image key, partitioner strategy, P), so
 // two strategies over the same graph can never collide. The caller
 // guarantees `key` uniquely identifies the graph's edge layout — use
@@ -123,11 +109,11 @@ class PartitionCache {
 
   // The memoised partitioning of `graph` under `spec` (default: the
   // interval-block strategy), built on first use. The shared_ptr stays
-  // valid across a concurrent eviction. With a `balance_seed` the build
-  // renumbers the vertices through hash_permutation(V, seed) as it reads
-  // `graph` (§4.3), and the entry is filed under
-  // GraphCache::balanced_key(key, seed): it equals the schedule of
-  // graph.hashed_remap(seed), which is never built.
+  // valid across a concurrent eviction under an entry cap. With a
+  // `balance_seed` the build renumbers the vertices through
+  // hash_permutation(V, seed) as it reads `graph` (§4.3), and the entry
+  // is filed under GraphCache::balanced_key(key, seed): it equals the
+  // schedule of graph.hashed_remap(seed), which is never built.
   std::shared_ptr<const Partitioning> acquire(
       const std::string& key, const Graph& graph, std::uint32_t num_intervals,
       const PartitionerSpec& spec = {},
@@ -176,12 +162,6 @@ struct FunctionalKey {
   // dense entry (false) and run_cached attaches the full-pass trace to
   // a frontier cell's copy.
   bool frontier = false;
-  // Per-iteration pattern reuse (algos/frontier.hpp). Results and
-  // reports are byte-identical either way (tested), but the cached
-  // FrontierTrace carries the blocks/edges_skipped tallies of the mode
-  // that built it — keying on the mode keeps the sim.kernel.* metrics
-  // honest when one process mixes both.
-  bool pattern_reuse = true;
 
   friend bool operator==(const FunctionalKey&,
                          const FunctionalKey&) = default;

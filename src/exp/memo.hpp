@@ -2,8 +2,9 @@
 // (src/exp/cache.hpp).
 //
 // A sweep over memory configurations x algorithms x datasets needs the
-// same few derived artifacts in every cell: §4.3 hash-balanced graph
-// images, interval-block partitionings and functional outcomes.
+// same few derived artifacts in every cell: graphs, interval-block
+// partitionings (the §4.3 hash balancing fused into their build) and
+// functional outcomes.
 // Memo<Key, Value> builds each one once and hands it out as
 // shared_ptr<const Value>:
 //

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "algos/frontier.hpp"
 #include "core/bench_json.hpp"
 #include "obs/host_profiler.hpp"
 #include "obs/live.hpp"
@@ -80,10 +79,6 @@ RunSession::RunSession(cli::ArgParser& parser, std::string program)
                   s->live = obs::parse_live_status(v);
                   if (!s->live) parser.fail("bad --live-status spec " + v);
                 });
-  parser.flag("--no-pattern-reuse",
-              "disable per-iteration pattern reuse in frontier runs "
-              "(identical output, more host work)",
-              [] { set_pattern_reuse_enabled(false); });
 }
 
 void RunSession::start(int argc, char** argv, std::function<void()> save) {

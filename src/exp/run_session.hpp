@@ -7,7 +7,6 @@
 //   --host-profile        wall-clock spans, RSS sampling, stage rates
 //   --trace PATH          Chrome trace-event JSON of the run
 //   --live-status SPEC    periodic status snapshots for hyve_top
-//   --no-pattern-reuse    disable per-iteration pattern reuse
 //
 // start() turns on what they ask for and finish() writes and stops it,
 // in the order every binary needs: the host profiler stops before the

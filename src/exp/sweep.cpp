@@ -85,8 +85,7 @@ RunReport run_cached(GraphCache& graphs, PartitionCache& partitions,
   const bool frontier = config.frontier_block_skipping;
   const bool walk = frontier && frontier_tracks_activity(*program);
   const FunctionalKey key{schedule_key, program->name(),
-                          config.partitioner.to_string(), p, walk,
-                          pattern_reuse_enabled()};
+                          config.partitioner.to_string(), p, walk};
   const std::shared_ptr<const FunctionalOutcome> outcome =
       functional.acquire(key, [&] {
         HyveConfig functional_config = config;

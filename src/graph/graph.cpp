@@ -19,14 +19,10 @@ Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
   }
 }
 
-const std::vector<std::uint32_t>& Graph::out_degrees() const {
-  HYVE_CHECK_MSG(degrees_ != nullptr, "out_degrees() of a moved-from graph");
-  std::call_once(degrees_->once, [this] {
-    std::vector<std::uint32_t> deg(num_vertices_, 0);
-    for (const Edge& e : edges_) ++deg[e.src];
-    degrees_->out = std::move(deg);
-  });
-  return degrees_->out;
+std::vector<std::uint32_t> Graph::out_degrees() const {
+  std::vector<std::uint32_t> deg(num_vertices_, 0);
+  for (const Edge& e : edges_) ++deg[e.src];
+  return deg;
 }
 
 std::vector<std::uint32_t> Graph::in_degrees() const {

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -44,13 +42,10 @@ class Graph {
   std::uint64_t num_edges() const { return edges_.size(); }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  // Per-vertex out-degree (graph statistics, the crossbar PageRank).
-  // Vertex programs read their schedule's table instead
-  // (Partitioning::out_degrees). Counted on the first call, not at
-  // construction (a load that never asks pays nothing), and kept: copies
-  // of this graph share the one table and concurrent first calls share
-  // one count. Valid while this graph or a copy of it lives. Thread-safe.
-  const std::vector<std::uint32_t>& out_degrees() const;
+  // Per-vertex degrees, counted afresh on every call (graph statistics,
+  // the crossbar PageRank). Vertex programs read their schedule's
+  // out-degree table instead (Partitioning::out_degrees).
+  std::vector<std::uint32_t> out_degrees() const;
   std::vector<std::uint32_t> in_degrees() const;
 
   // Deterministic per-edge weight in [1, max_weight],
@@ -78,15 +73,8 @@ class Graph {
   Graph hashed_remap(std::uint64_t seed) const;
 
  private:
-  // The lazily counted out-degree table, shared by copies.
-  struct Degrees {
-    std::once_flag once;
-    std::vector<std::uint32_t> out;
-  };
-
   VertexId num_vertices_ = 0;
   std::vector<Edge> edges_;
-  std::shared_ptr<Degrees> degrees_ = std::make_shared<Degrees>();
 };
 
 // The deterministic pseudo-random vertex permutation of the hash-based

@@ -189,58 +189,8 @@ EdgeBlockSoA Partitioning::block(std::uint32_t x, std::uint32_t y) const {
   return columns_->view(offsets_[b], offsets_[b + 1] - offsets_[b]);
 }
 
-const SourceBlockIndex& Partitioning::source_block_index() const {
-  if (const SourceBlockIndex* index =
-          lazy_->index_ptr.load(std::memory_order_acquire))
-    return *index;
-  const std::lock_guard<std::mutex> lock(lazy_->mu);
-  if (lazy_->index == nullptr) {
-    const obs::HostSpan host_span("partition.source_block_index");
-    auto index = std::make_shared<SourceBlockIndex>();
-    // Within block B[x][y] every edge shares the destination interval y,
-    // and a vertex appears as a source in exactly one grid row, so each
-    // (source, block) pair is distinct per block: stamping a vertex with
-    // the block id dedupes repeated sources. Two passes — count rows,
-    // then place — and block-major order makes every row sorted by y.
-    const VertexId* const sources = columns_->all().src;
-    const std::uint64_t no_block = ~std::uint64_t{0};
-    std::vector<std::uint64_t> stamp(map_.num_vertices(), no_block);
-    index->offsets.assign(map_.num_vertices() + std::size_t{1}, 0);
-    for (std::uint64_t b = 0; b < num_blocks(); ++b) {
-      for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-        const VertexId src = sources[i];
-        if (stamp[src] == b) continue;
-        stamp[src] = b;
-        ++index->offsets[src + 1];
-      }
-    }
-    for (VertexId v = 0; v < map_.num_vertices(); ++v)
-      index->offsets[v + 1] += index->offsets[v];
-    index->intervals.resize(index->offsets.back());
-    std::vector<std::uint64_t> cursor(index->offsets.begin(),
-                                      index->offsets.end() - 1);
-    std::fill(stamp.begin(), stamp.end(), no_block);
-    const std::uint32_t p = num_intervals();
-    for (std::uint64_t b = 0; b < num_blocks(); ++b) {
-      const auto y = static_cast<std::uint32_t>(b % p);
-      for (std::uint64_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
-        const VertexId src = sources[i];
-        if (stamp[src] == b) continue;
-        stamp[src] = b;
-        index->intervals[cursor[src]++] = y;
-      }
-    }
-    lazy_->index = std::move(index);
-    lazy_->index_ptr.store(lazy_->index.get(), std::memory_order_release);
-  }
-  return *lazy_->index;
-}
-
 std::size_t Partitioning::lazy_bytes() const {
-  const std::lock_guard<std::mutex> lock(lazy_->mu);
-  std::size_t bytes = columns_->approx_bytes();
-  if (lazy_->index != nullptr) bytes += lazy_->index->approx_bytes();
-  return bytes;
+  return columns_->approx_bytes();
 }
 
 std::size_t Partitioning::resident_bytes() const {

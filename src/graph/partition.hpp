@@ -23,10 +23,8 @@
 // instead of doing width arithmetic of its own.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -90,27 +88,6 @@ class VertexMap {
   std::vector<VertexId> populations_;      // P entries
   std::vector<VertexId> begins_;           // P+1 entries when contiguous
   bool contiguous_ = true;
-};
-
-// CSR of the block grid by source vertex: for every vertex v, the sorted
-// distinct destination intervals y with at least one edge v -> I_y.
-// This is the dirty-propagation map of per-iteration pattern reuse
-// (algos/frontier.hpp): when v changes, exactly the blocks
-// B[interval_of(v)][y] for y in row(v) must be re-streamed next
-// iteration. Rows are empty for vertices with no out-edges.
-struct SourceBlockIndex {
-  std::vector<std::uint64_t> offsets;    // V+1 prefix sums into intervals
-  std::vector<std::uint32_t> intervals;  // distinct destination intervals
-
-  std::span<const std::uint32_t> row(VertexId v) const {
-    return {intervals.data() + offsets[v],
-            intervals.data() + offsets[v + 1]};
-  }
-  std::size_t approx_bytes() const {
-    return sizeof(SourceBlockIndex) +
-           offsets.capacity() * sizeof(std::uint64_t) +
-           intervals.capacity() * sizeof(std::uint32_t);
-  }
 };
 
 class Partitioning {
@@ -190,13 +167,13 @@ class Partitioning {
   // program streams hold one.
   const EdgeColumns& edge_columns() const { return *columns_; }
 
-  // Built on first use and shared by copies of this partitioning.
-  // Thread-safe.
-  const SourceBlockIndex& source_block_index() const;
+  // Builds nothing: a schedule holds no source-block index. Kept only
+  // because perfbench's traced reps name it.
+  void source_block_index() const {}
 
   // Bytes of the edge images currently resident: the src/dst columns,
-  // plus every weight column and the source-block index once built.
-  // PartitionCache does not count them: its budget is an entry cap.
+  // plus every weight column once built. PartitionCache does not count
+  // them: its budget is an entry cap.
   std::size_t lazy_bytes() const;
 
   // Every byte this schedule holds: the block offsets, the vertex map,
@@ -213,15 +190,6 @@ class Partitioning {
   // caller holds the partition.build host span.
   void build(const Graph& g, std::span<const VertexId> perm);
 
-  // The source-block index, shared across copies (the columns it
-  // derives from are). Built once under `mu`; the atomic publishes the
-  // finished index so later calls cost one acquire load.
-  struct Lazy {
-    std::mutex mu;
-    std::shared_ptr<const SourceBlockIndex> index;
-    std::atomic<const SourceBlockIndex*> index_ptr{nullptr};
-  };
-
   std::uint64_t block_index(std::uint32_t x, std::uint32_t y) const {
     return static_cast<std::uint64_t>(x) * num_intervals() + y;
   }
@@ -231,7 +199,6 @@ class Partitioning {
   std::vector<std::uint64_t> offsets_;  // P*P + 1 prefix sums into columns_
   std::shared_ptr<const std::vector<std::uint32_t>> out_degrees_;  // V
   Replication replication_;
-  std::shared_ptr<Lazy> lazy_ = std::make_shared<Lazy>();
 };
 
 }  // namespace hyve

@@ -47,6 +47,46 @@ void check_map_inputs(const Graph& g, std::uint32_t p,
                                    << g.num_vertices() << " vertices");
 }
 
+// Min-heap of intervals by edge load, with lazy deletion: each load
+// change pushes a fresh entry, and an entry whose load no longer matches
+// `load` is stale and dropped when it surfaces. HEP's phase 1 and
+// splitmerge's merge pass both search it for the least-loaded interval
+// with room.
+class LoadHeap {
+ public:
+  explicit LoadHeap(const std::vector<std::uint64_t>& load) : load_(load) {
+    for (std::uint32_t i = 0; i < load_.size(); ++i) push(i);
+  }
+
+  // Files `interval` under its current load (call after changing it).
+  void push(std::uint32_t interval) { heap_.push({load_[interval], interval}); }
+
+  // Pops the least-loaded interval for which fits(interval) holds, or
+  // returns kUnassigned; entries that did not fit stay in the heap.
+  template <typename Fits>
+  std::uint32_t pop_least_loaded(Fits fits) {
+    std::vector<Entry> stash;
+    std::uint32_t chosen = kUnassigned;
+    while (!heap_.empty()) {
+      const Entry top = heap_.top();
+      heap_.pop();
+      if (top.first != load_[top.second]) continue;  // stale entry
+      if (fits(top.second)) {
+        chosen = top.second;
+        break;
+      }
+      stash.push_back(top);
+    }
+    for (const Entry& e : stash) heap_.push(e);
+    return chosen;
+  }
+
+ private:
+  using Entry = std::pair<std::uint64_t, std::uint32_t>;  // load, id
+  const std::vector<std::uint64_t>& load_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+};
+
 // For HEP's affinity placement: each low-degree vertex's neighbours (out
 // and in) that are already placed when the id-order stream reaches it —
 // every high-degree one (phase 1 placed them all) and the low-degree
@@ -145,34 +185,19 @@ class HepPartitioner final : public Partitioner {
       if (degree[a] != degree[b]) return degree[a] > degree[b];
       return a < b;
     });
-    using HeapEntry = std::pair<std::uint64_t, std::uint32_t>;  // load, id
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        min_heap;
-    for (std::uint32_t i = 0; i < p; ++i) min_heap.push({0, i});
+    LoadHeap heap(load);
     const auto place = [&](VertexId u, std::uint32_t interval) {
       assignment[u] = interval;
       load[interval] += degree[u];
       ++population[interval];
     };
     for (const VertexId u : high) {
-      std::vector<HeapEntry> stash;
-      std::uint32_t chosen = kUnassigned;
-      while (!min_heap.empty()) {
-        const HeapEntry top = min_heap.top();
-        min_heap.pop();
-        if (top.first != load[top.second]) continue;  // stale entry
-        if (population[top.second] < cap) {
-          chosen = top.second;
-          break;
-        }
-        stash.push_back(top);
-      }
-      for (const HeapEntry& e : stash) min_heap.push(e);
+      const std::uint32_t chosen = heap.pop_least_loaded(
+          [&](std::uint32_t i) { return population[i] < cap; });
       HYVE_CHECK_MSG(chosen != kUnassigned,
                      "hep: no interval below capacity " << cap);
       place(u, chosen);
-      min_heap.push({load[chosen], chosen});
+      heap.push(chosen);
     }
 
     // Phase 2 — the low-degree remainder streams in id order onto the
@@ -281,32 +306,17 @@ class SplitMergePartitioner final : public Partitioner {
     std::vector<std::uint32_t> assignment(v, kUnassigned);
     std::vector<std::uint64_t> load(p, 0);
     std::vector<VertexId> population(p, 0);
-    using HeapEntry = std::pair<std::uint64_t, std::uint32_t>;  // load, id
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        min_heap;
-    for (std::uint32_t i = 0; i < p; ++i) min_heap.push({0, i});
+    LoadHeap heap(load);
 
     for (const std::uint32_t c : merge_order) {
-      std::vector<HeapEntry> stash;
-      std::uint32_t chosen = kUnassigned;
-      while (!min_heap.empty()) {
-        const HeapEntry top = min_heap.top();
-        min_heap.pop();
-        if (top.first != load[top.second]) continue;  // stale entry
-        if (population[top.second] + chunk_pop[c] <= cap) {
-          chosen = top.second;
-          break;
-        }
-        stash.push_back(top);
-      }
-      for (const HeapEntry& e : stash) min_heap.push(e);
+      const std::uint32_t chosen = heap.pop_least_loaded(
+          [&](std::uint32_t i) { return population[i] + chunk_pop[c] <= cap; });
       if (chosen != kUnassigned) {
         for (std::uint64_t i = chunk_begin[c]; i < chunk_begin[c + 1]; ++i)
           assignment[members[i]] = chosen;
         population[chosen] += chunk_pop[c];
         load[chosen] += chunk_load[c];
-        min_heap.push({load[chosen], chosen});
+        heap.push(chosen);
         continue;
       }
       // Split the chunk across whatever headroom remains.
@@ -327,7 +337,7 @@ class SplitMergePartitioner final : public Partitioner {
         assignment[members[i]] = target;
         ++population[target];
         load[target] += static_cast<std::uint64_t>(spread);
-        min_heap.push({load[target], target});
+        heap.push(target);
       }
     }
 

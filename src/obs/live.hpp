@@ -2,7 +2,7 @@
 //
 // Everything else in this layer is post-mortem — registry dumps, Chrome
 // traces and bench reports appear only after the run exits, which is
-// useless for the multi-hour out-of-core sweeps the ROADMAP targets.
+// useless for watching a long sweep while it runs.
 // LiveTelemetry closes that gap with three cooperating pieces:
 //
 //   * a snapshot thread that renders the current Registry values,

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <ostream>
+#include <tuple>
+#include <vector>
+
 #include "algos/bfs.hpp"
 #include "algos/cc.hpp"
 #include "algos/frontier.hpp"
+#include "algos/gas.hpp"
 #include "algos/pagerank.hpp"
 #include "algos/sssp.hpp"
 #include "core/machine.hpp"
 #include "graph/generators.hpp"
+#include "graph/partitioner.hpp"
 #include "util/check.hpp"
 
 namespace hyve {
@@ -14,35 +22,115 @@ namespace {
 
 Graph test_graph() { return generate_rmat(20000, 120000, {}, 888); }
 
-TEST(Frontier, BfsFixpointMatchesDenseRun) {
-  const Graph g = test_graph();
-  const Partitioning part(g, 16);
-  BfsProgram dense(0);
-  run_functional(g, dense, part);
-  BfsProgram skipped(0);
-  run_frontier(g, skipped, part);
-  EXPECT_EQ(dense.distances(), skipped.distances());
+// The fixpoint matrix: every program the walk can narrow, on every
+// partitioning strategy (contiguous interval maps and the scattered
+// populations of HEP and splitmerge) at P in {1, 8, 16}, over an R-MAT
+// that keeps its self-loops and duplicate edges. A skipped block must
+// never cost a relaxation the dense run makes, so the final vertex state
+// equals the dense run's over the same schedule.
+template <typename T>
+std::vector<std::uint64_t> widened(const std::vector<T>& values) {
+  return {values.begin(), values.end()};
 }
 
-TEST(Frontier, CcFixpointMatchesDenseRun) {
-  const Graph g = test_graph();
-  const Partitioning part(g, 8);
-  CcProgram dense;
-  run_functional(g, dense, part);
-  CcProgram skipped;
-  run_frontier(g, skipped, part);
-  EXPECT_EQ(dense.labels(), skipped.labels());
+struct FixpointProgram {
+  const char* label;
+  std::unique_ptr<VertexProgram> (*make)();
+  std::vector<std::uint64_t> (*state)(const VertexProgram&);
+};
+
+const FixpointProgram kFixpointPrograms[] = {
+    {"BFS", [] { return make_program(Algorithm::kBfs); },
+     [](const VertexProgram& p) {
+       return widened(dynamic_cast<const BfsProgram&>(p).distances());
+     }},
+    {"CC", [] { return make_program(Algorithm::kCc); },
+     [](const VertexProgram& p) {
+       return widened(dynamic_cast<const CcProgram&>(p).labels());
+     }},
+    {"SSSP", [] { return make_program(Algorithm::kSssp); },
+     [](const VertexProgram& p) {
+       return widened(dynamic_cast<const SsspProgram&>(p).distances());
+     }},
+    {"REACH",
+     []() -> std::unique_ptr<VertexProgram> {
+       return std::make_unique<GasProgram<std::uint32_t>>(
+           make_reachability_program(0));
+     },
+     [](const VertexProgram& p) {
+       return widened(
+           dynamic_cast<const GasProgram<std::uint32_t>&>(p).values());
+     }},
+};
+
+const Graph& fixpoint_graph() {
+  static const Graph graph = [] {
+    RmatParams params;
+    params.allow_self_loops = true;
+    params.deduplicate = false;
+    return generate_rmat(30000, 180000, params, 0xF1C5);
+  }();
+  return graph;
 }
 
-TEST(Frontier, SsspFixpointMatchesDenseRun) {
-  const Graph g = test_graph();
-  const Partitioning part(g, 8);
-  SsspProgram dense(0);
-  run_functional(g, dense, part);
-  SsspProgram skipped(0);
-  run_frontier(g, skipped, part);
-  EXPECT_EQ(dense.distances(), skipped.distances());
+TEST(FrontierFixpointInput, KeepsSelfLoopsAndDuplicates) {
+  std::vector<Edge> edges = fixpoint_graph().edges();
+  EXPECT_TRUE(std::any_of(edges.begin(), edges.end(),
+                          [](const Edge& e) { return e.src == e.dst; }));
+  std::sort(edges.begin(), edges.end());
+  EXPECT_NE(std::adjacent_find(edges.begin(), edges.end()), edges.end());
 }
+
+// The matrix axes, printed as the ctest names show them.
+enum class Strategy { kInterval, kHep, kSplitMerge };
+const char* spec_of(Strategy strategy) {
+  switch (strategy) {
+    case Strategy::kInterval: return "interval";
+    case Strategy::kHep: return "hep:tau=2";
+    case Strategy::kSplitMerge: return "splitmerge:chunks=8";
+  }
+  return "?";
+}
+void PrintTo(Strategy strategy, std::ostream* os) { *os << spec_of(strategy); }
+
+enum class Program : std::size_t { kBfs, kCc, kSssp, kReach };
+void PrintTo(Program program, std::ostream* os) {
+  *os << kFixpointPrograms[static_cast<std::size_t>(program)].label;
+}
+
+using FixpointParam = std::tuple<Strategy, std::uint32_t, Program>;
+
+class FrontierFixpoint : public ::testing::TestWithParam<FixpointParam> {};
+
+TEST_P(FrontierFixpoint, MatchesDenseRun) {
+  const auto [strategy, p, which] = GetParam();
+  const FixpointProgram& program =
+      kFixpointPrograms[static_cast<std::size_t>(which)];
+  const Graph& g = fixpoint_graph();
+  const Partitioning part =
+      make_partitioner(*parse_partitioner(spec_of(strategy)))->partition(g, p);
+
+  const auto dense = program.make();
+  run_functional(g, *dense, part);
+  const auto walked = program.make();
+  ASSERT_TRUE(frontier_tracks_activity(*walked));
+  const FrontierTrace trace = run_frontier(g, *walked, part);
+  EXPECT_EQ(program.state(*dense), program.state(*walked));
+
+  ASSERT_EQ(trace.iterations(), trace.result.iterations);
+  std::uint64_t edges = 0;
+  for (std::uint32_t it = 0; it < trace.iterations(); ++it)
+    edges += trace.edges_in_iteration(it);
+  EXPECT_EQ(edges, trace.result.edges_traversed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, FrontierFixpoint,
+    ::testing::Combine(::testing::Values(Strategy::kInterval, Strategy::kHep,
+                                         Strategy::kSplitMerge),
+                       ::testing::Values(1u, 8u, 16u),
+                       ::testing::Values(Program::kBfs, Program::kCc,
+                                         Program::kSssp, Program::kReach)));
 
 TEST(Frontier, SkipsWorkOnceFrontierShrinks) {
   const Graph g = test_graph();

@@ -198,13 +198,11 @@ TEST(Partitioning, ResidentBytesCountEveryImageItHolds) {
     part.edge_columns().weights(1024);
     const std::size_t weighted = built + 2 * e * sizeof(std::uint32_t);
     EXPECT_EQ(part.resident_bytes(), weighted);
-    const std::size_t index = part.source_block_index().approx_bytes();
-    EXPECT_EQ(part.resident_bytes(), weighted + index);
     // perfbench's bytes-per-edge formula reads exactly the edge images.
     EXPECT_TRUE(part.grouped_edges().empty());
     EXPECT_EQ(part.grouped_edges().capacity() * sizeof(Edge) +
                   part.lazy_bytes(),
-              columns + 2 * e * sizeof(std::uint32_t) + index);
+              columns + 2 * e * sizeof(std::uint32_t));
   }
 }
 

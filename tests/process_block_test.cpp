@@ -1,16 +1,14 @@
 // Differential tests of VertexProgram::process_block against the scalar
 // process_edge reference. For every shipped program the block kernel
-// must produce the same per-block write counts, the same changed-vertex
-// bitmaps, the same end_iteration decisions and the same final vertex
-// state as the per-edge loop it replaces — on the paper's example graph,
-// an R-MAT at the paper's schedule granularity, and random graphs,
-// partition widths and mid-run states. These tests are the contract that
-// lets run_functional/run_frontier drive whole blocks. Also pins the
-// weight columns (built on first use) to Graph::edge_weight, proves
-// per-iteration pattern reuse is invisible in results and traces, and
-// exercises the build-once publication of the weight columns, the
-// source-block index and the out-degree table under concurrency (run
-// under -L sweep-engine so the ThreadSanitizer CI pass covers it).
+// must produce the same per-block write counts, the same end_iteration
+// decisions and the same final vertex state as the per-edge loop it
+// replaces — on the paper's example graph, an R-MAT at the paper's
+// schedule granularity, and random graphs, partition widths and mid-run
+// states. These tests are the contract that lets
+// run_functional/run_frontier drive whole blocks. Also pins the weight
+// columns (built on first use) to Graph::edge_weight and exercises their
+// build-once publication under concurrency (run under -L sweep-engine so
+// the ThreadSanitizer CI pass covers it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,39 +81,26 @@ Graph rmat_graph() { return generate_rmat(20000, 120000, {}, 888); }
 // Drives two fresh instances of one program in lockstep over `part` in
 // the destination-major block order, for up to `max_passes` passes or
 // until they converge: `by_edge` through process_edge, `by_block`
-// through process_block. Each block must report the same write count
-// and mark the same changed vertices, and each pass must end with the
-// same end_iteration decision; the final states are compared last.
-void expect_lockstep(const Graph& g, const Partitioning& part,
-                     const ProgramCase& pc, std::uint32_t max_passes) {
+// through process_block. Each block must report the same write count,
+// and each pass must end with the same end_iteration decision; the
+// final states are compared last.
+void expect_lockstep(const Partitioning& part, const ProgramCase& pc,
+                     std::uint32_t max_passes) {
   const auto by_edge = pc.make();
   const auto by_block = pc.make();
   by_edge->init(part);
   by_block->init(part);
   const std::uint32_t p = part.num_intervals();
-  std::vector<char> ref_changed(g.num_vertices(), 0);
-  std::vector<char> blk_changed(g.num_vertices(), 0);
   bool more = true;
   std::uint32_t pass = 0;
   while (more && pass < std::min(max_passes, by_edge->max_iterations())) {
     for (std::uint32_t y = 0; y < p; ++y) {
       for (std::uint32_t x = 0; x < p; ++x) {
-        std::fill(ref_changed.begin(), ref_changed.end(), 0);
-        std::fill(blk_changed.begin(), blk_changed.end(), 0);
         const EdgeBlockSoA block = part.block(x, y);
         std::uint64_t ref_writes = 0;
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          const Edge e = block.edge(i);
-          if (by_edge->process_edge(e)) {
-            ++ref_writes;
-            ref_changed[e.dst] = 1;
-          }
-        }
-        const std::uint64_t blk_writes =
-            by_block->process_block(block, &blk_changed);
-        ASSERT_EQ(ref_writes, blk_writes)
-            << "block (" << x << ", " << y << ") pass " << pass;
-        ASSERT_EQ(ref_changed, blk_changed)
+        for (std::size_t i = 0; i < block.size(); ++i)
+          ref_writes += by_edge->process_edge(block.edge(i)) ? 1 : 0;
+        ASSERT_EQ(ref_writes, by_block->process_block(block))
             << "block (" << x << ", " << y << ") pass " << pass;
       }
     }
@@ -188,7 +173,7 @@ void expect_matches_per_edge_to_convergence(
         continue;
       ++matched;
       SCOPED_TRACE(::testing::Message() << gc.label << "/" << pc.label);
-      expect_lockstep(gc.graph, part, pc, ~std::uint32_t{0});
+      expect_lockstep(part, pc, ~std::uint32_t{0});
       // Whole run: the shipped (block-driven) run_functional against
       // the per-edge loop, counts and outputs.
       const auto ref_program = pc.make();
@@ -256,14 +241,14 @@ TEST(ProcessBlock, MatchesPerEdgeOnRandomBlocksAndStates) {
     // mid-convergence) state before the last checked pass.
     for (const ProgramCase& pc : cases) {
       SCOPED_TRACE(pc.label);
-      expect_lockstep(g, part, pc, warmup + 1);
+      expect_lockstep(part, pc, warmup + 1);
     }
   }
 }
 
 TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
   // A program that does NOT override process_block must get the base
-  // class's per-edge loop, including changed tracking.
+  // class's per-edge loop.
   class CountingProgram final : public VertexProgram {
    public:
     std::string name() const override { return "count"; }
@@ -286,27 +271,18 @@ TEST(ProcessBlock, DefaultImplementationDelegatesToProcessEdge) {
   const Partitioning whole_graph(g, 1);
   CountingProgram prog;
   prog.init(whole_graph);
-  std::vector<char> changed(g.num_vertices(), 0);
-  const std::uint64_t writes =
-      prog.process_block(whole_graph.block(0, 0), &changed);
+  const std::uint64_t writes = prog.process_block(whole_graph.block(0, 0));
 
   CountingProgram ref;
   ref.init(whole_graph);
-  std::vector<char> ref_changed(g.num_vertices(), 0);
   std::uint64_t ref_writes = 0;
-  for (const Edge& e : g.edges()) {
-    if (ref.process_edge(e)) {
-      ++ref_writes;
-      ref_changed[e.dst] = 1;
-    }
-  }
+  for (const Edge& e : g.edges()) ref_writes += ref.process_edge(e) ? 1 : 0;
   EXPECT_EQ(writes, ref_writes);
-  EXPECT_EQ(changed, ref_changed);
 }
 
 TEST(ProcessBlock, FrontierRunMatchesPerEdgeReference) {
-  // run_frontier drives process_block with the shared changed vector;
-  // fixpoints must still match the dense per-edge reference.
+  // run_frontier drives process_block over active source intervals
+  // only; fixpoints must still match the dense per-edge reference.
   const Graph g = rmat_graph();
   const Partitioning part(g, 16);
   BfsProgram dense(0);
@@ -372,59 +348,15 @@ TEST(ProcessBlock, WeightColumnsMatchEdgeWeight) {
   EXPECT_THROW(part.edge_columns().weights(0), InvariantError);
 }
 
-TEST(ProcessBlock, PatternReuseIsTraceInvisible) {
-  const struct {
-    const char* label;
-    Graph graph;
-  } graphs[] = {
-      {"rmat", generate_rmat(5000, 30000, {}, 0xBE7C)},
-      {"ba", generate_barabasi_albert(5000, 6, 0xBE7C)},
-  };
-  const auto cases = all_programs();
-  for (const auto& gc : graphs) {
-    const Partitioning part(gc.graph, 16);
-    for (const ProgramCase& pc : cases) {
-      SCOPED_TRACE(::testing::Message() << gc.label << "/" << pc.label);
-      const auto with = pc.make();
-      const auto without = pc.make();
-      const FrontierTrace on = run_frontier(
-          gc.graph, *with, part, FrontierOptions{.pattern_reuse = true});
-      const FrontierTrace off = run_frontier(
-          gc.graph, *without, part, FrontierOptions{.pattern_reuse = false});
-      // Replayed blocks are provably write-free, so reuse changes the
-      // host's streaming volume and nothing else: results, iteration
-      // counts and the per-iteration block traces are identical.
-      EXPECT_EQ(on.result.iterations, off.result.iterations);
-      EXPECT_EQ(on.result.destination_writes, off.result.destination_writes);
-      EXPECT_EQ(on.result.edges_traversed, off.result.edges_traversed);
-      EXPECT_EQ(off.edges_skipped, 0u);
-      EXPECT_EQ(off.blocks_skipped, 0u);
-      ASSERT_EQ(on.iteration_blocks.size(), off.iteration_blocks.size());
-      for (std::size_t it = 0; it < on.iteration_blocks.size(); ++it) {
-        const auto& lhs = on.iteration_blocks[it];
-        const auto& rhs = off.iteration_blocks[it];
-        ASSERT_EQ(lhs.size(), rhs.size()) << "iteration " << it;
-        for (std::size_t i = 0; i < lhs.size(); ++i) {
-          EXPECT_EQ(lhs[i].block, rhs[i].block);
-          EXPECT_EQ(lhs[i].edges, rhs[i].edges);
-        }
-      }
-      pc.expect_eq(*with, *without);
-    }
-  }
-}
-
 TEST(PartitionLazyMemo, ConcurrentBuildersShareOneImage) {
   const Graph g = generate_rmat(4000, 24000, {}, 0xACE5);
   const Partitioning part(g, 16);
-  const Partitioning copy = part;  // shares the columns and the index
+  const Partitioning copy = part;  // shares the columns
   // Sweep workers race into the same cached partitioning, half of them
   // asking for the two weight columns in the other order; every caller
-  // must observe exactly one published column per max_weight and one
-  // index.
+  // must observe exactly one published column per max_weight.
   std::vector<const std::uint32_t*> w64(8, nullptr);
   std::vector<const std::uint32_t*> w1024(8, nullptr);
-  std::vector<const SourceBlockIndex*> indexes(8, nullptr);
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
@@ -437,11 +369,9 @@ TEST(PartitionLazyMemo, ConcurrentBuildersShareOneImage) {
           w1024[t] = mine.edge_columns().weights(1024);
           w64[t] = mine.edge_columns().weights(64);
         }
-        indexes[t] = &mine.source_block_index();
         // Re-reads hit the published fast path.
         EXPECT_EQ(w64[t], mine.block(0, 0).weights(64));
         EXPECT_EQ(w1024[t], mine.block(0, 0).weights(1024));
-        EXPECT_EQ(indexes[t], &mine.source_block_index());
       });
     }
     for (std::thread& th : threads) th.join();
@@ -449,51 +379,12 @@ TEST(PartitionLazyMemo, ConcurrentBuildersShareOneImage) {
   for (int t = 1; t < 8; ++t) {
     EXPECT_EQ(w64[t], w64[0]);
     EXPECT_EQ(w1024[t], w1024[0]);
-    EXPECT_EQ(indexes[t], indexes[0]);
   }
   EXPECT_NE(w64[0], w1024[0]);
   EXPECT_EQ(&copy.edge_columns(), &part.edge_columns());
   EXPECT_EQ(part.lazy_bytes(),
-            g.num_edges() * (2 * sizeof(VertexId) + 2 * sizeof(std::uint32_t)) +
-                indexes[0]->approx_bytes());
+            g.num_edges() * (2 * sizeof(VertexId) + 2 * sizeof(std::uint32_t)));
 }
-
-TEST(GraphLazyMemo, ConcurrentOutDegreeCallsShareOneTable) {
-  const Graph g = generate_rmat(4000, 24000, {}, 0xDE6);
-  const Graph copy = g;  // shares the table, counted or not
-  std::vector<std::uint32_t> recount(g.num_vertices(), 0);
-  for (const Edge& e : g.edges()) ++recount[e.src];
-  std::vector<const std::vector<std::uint32_t>*> tables(8, nullptr);
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t)
-      threads.emplace_back([&, t] {
-        tables[t] = &((t % 2 == 0) ? g : copy).out_degrees();
-      });
-    for (std::thread& th : threads) th.join();
-  }
-  for (int t = 1; t < 8; ++t) EXPECT_EQ(tables[t], tables[0]);
-  EXPECT_EQ(*tables[0], recount);
-  // A copy taken after the count shares it too.
-  const Graph late = g;
-  EXPECT_EQ(&late.out_degrees(), tables[0]);
-  // An equal graph built separately counts its own.
-  const Graph rebuilt(g.num_vertices(), g.edges());
-  EXPECT_NE(&rebuilt.out_degrees(), tables[0]);
-  EXPECT_EQ(rebuilt.out_degrees(), recount);
-}
-
-#ifndef NDEBUG
-TEST(ProcessBlock, ChangedCoverAssertThrowsInDebugBuilds) {
-  const Graph g(4, {{0, 3}});
-  const Partitioning part(g, 1);
-  BfsProgram program;
-  program.init(part);
-  std::vector<char> too_small(1, 0);  // cannot index destination 3
-  EXPECT_THROW(program.process_block(part.block(0, 0), &too_small),
-               InvariantError);
-}
-#endif
 
 }  // namespace
 }  // namespace hyve

@@ -93,9 +93,8 @@ int run_metrics_census() {
   exp::ResultSink sink(records, exp::ResultSink::Format::kJsonl);
   engine.run(spec, options, &sink);
 
-  // Frontier-mode BFS and SSSP runs: the pattern-reuse tallies
-  // (sim.kernel.blocks_skipped / edges_skipped) and the weight column a
-  // weighted program builds on first use (edge_columns.weights).
+  // Frontier-mode BFS and SSSP runs: the frontier walk and the weight
+  // column a weighted program builds on first use (edge_columns.weights).
   {
     exp::SweepSpec frontier_spec;
     HyveConfig frontier_config = HyveConfig::hyve_opt();
